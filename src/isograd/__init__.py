@@ -31,10 +31,12 @@ treeopt
 game
     A two-stage game solved by backward induction vs coupling selection.
 cli
-    Command-line interface over all of the above.
+    Command-line interface over all of the above (imported on first use).
 """
 
-from . import cli, core, dice, game, gaussian, jointbinary, strategy, treeopt
+import importlib
+
+from . import core, dice, game, gaussian, jointbinary, strategy, treeopt
 from .core import (
     ConstraintSet,
     Constrained,
@@ -54,6 +56,7 @@ from .errors import (
     EmptyData,
     InfeasiblePoint,
     IsogradError,
+    NonFinite,
     OutOfRange,
     PreconditionError,
     SingularP,
@@ -76,6 +79,7 @@ __all__ = [
     "InfeasiblePoint",
     "IsogradError",
     "Limit",
+    "NonFinite",
     "OptimumReport",
     "OutOfRange",
     "PreconditionError",
@@ -97,3 +101,11 @@ __all__ = [
     "treeopt",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # importing cli eagerly would make ``python -m isograd.cli`` find it in
+    # sys.modules before running it as __main__, and run it twice
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

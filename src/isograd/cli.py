@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dice, game, gaussian, jointbinary, strategy, treeopt
 from .core import Constrained, Limit, gradient, simplex_volume
-from .errors import BadParams, ConvergenceFailure, IsogradError
+from .errors import BadParams, ConvergenceFailure, IsogradError, NonFinite
 from .jointbinary import CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION
 
 FORMATS = ("text", "csv", "json")
@@ -46,8 +46,6 @@ class RunConfig:
                             f"got {self.format!r}")
         if self.precision < 1:
             raise BadParams(f"precision must be positive, got {self.precision}")
-        if self.grid < 11:
-            raise BadParams(f"grid must be at least 11, got {self.grid}")
         if self.seed < 0:
             raise BadParams(f"seed must be non-negative, got {self.seed}")
         if self.samples < 1:
@@ -155,9 +153,13 @@ def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
         raise BadParams(f"{name} needs {count} comma-separated values, "
                         f"got {len(parts)} in {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise BadParams(f"{name}: {exc}") from exc
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFinite(f"{name}: {v!r} is not a finite number")
+    return values
 
 
 def _parse_counts(text: str) -> jointbinary.CountData:

@@ -32,6 +32,7 @@ from .errors import (
     BadDimension,
     DomainError,
     InfeasiblePoint,
+    NonFinite,
     NotNormalized,
     OutOfRange,
     PreconditionError,
@@ -63,6 +64,7 @@ class ProbVector:
             raise BadDimension(f"need at least 2 outcomes, got {n}")
         if not 0 <= self.resolved_index < n:
             raise BadDimension(f"resolved_index {self.resolved_index} out of range")
+        _require_finite(self.probs)
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise OutOfRange(f"probabilities outside [0, 1]: {self.probs}")
         s = math.fsum(self.probs)
@@ -95,11 +97,18 @@ class ProbVector:
         return ProbVector(free[:i] + (resolved,) + free[i:], i)
 
 
+def _require_finite(values: Sequence[float]) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFinite(f"probability {v!r} is not finite")
+
+
 def resolve(point: Sequence[float]) -> ProbVector:
     """Validate full outcome probabilities and resolve the last coordinate."""
     vals = [float(v) for v in point]
     if len(vals) < 2:
         raise BadDimension(f"need at least 2 outcomes, got {len(vals)}")
+    _require_finite(vals)
     for v in vals:
         if v < -PROB_SUM_TOL or v > 1.0 + PROB_SUM_TOL:
             raise OutOfRange(f"probability {v!r} outside [0, 1]")

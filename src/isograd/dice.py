@@ -11,6 +11,7 @@ with the per-die winners.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,44 +88,43 @@ def marginal_entropy_gradient(free: np.ndarray) -> np.ndarray:
 def _entropy_on_grid(sides: int, resolution: int):
     """Exhaustive entropy evaluation on the die's face grid.
 
-    Returns (best_params, best_entropy); ties resolve to the lexicographically
-    smallest parameter vector because scanning is in ascending C order.
+    Enumerates the compositions k of ``resolution`` into ``sides`` parts and
+    scores the grid point k / resolution with the table
+    T[i] = -(i/n) log(i/n).  The outer parts are looped in ascending order
+    and the last one or two free parts are vectorized.  Returns
+    (best_params, best_entropy), where best_params are the first sides - 1
+    coordinates; ties resolve to the lexicographically smallest composition.
     """
-    g = np.arange(resolution + 1) / resolution
-    if sides == 2:
-        ent = -(xlogy(g, g) + xlogy(1 - g, 1 - g))
-        i = int(np.argmax(ent))
-        return (g[i],), float(ent[i])
-    if sides == 3:
-        A, B = np.meshgrid(g, g, indexing="ij")
-        C = 1.0 - A - B
-        valid = C >= -1e-12
-        ent = np.where(
-            valid,
-            -(xlogy(A, A) + xlogy(B, B) + xlogy(np.maximum(C, 0.0),
-                                                np.maximum(C, 0.0))),
-            -np.inf)
-        i = int(np.argmax(ent))
-        ia, ib = np.unravel_index(i, ent.shape)
-        return (g[ia], g[ib]), float(ent[ia, ib])
-    # sides == 4: loop the outermost axis to keep the working set small
-    best_val = -np.inf
-    best = None
-    B, C = np.meshgrid(g, g, indexing="ij")
-    for a in g:
-        D = 1.0 - a - B - C
-        valid = D >= -1e-12
-        Dp = np.maximum(D, 0.0)
-        ent = np.where(
-            valid,
-            -(xlogy(a, a) + xlogy(B, B) + xlogy(C, C) + xlogy(Dp, Dp)),
-            -np.inf)
-        i = int(np.argmax(ent))
-        ib, ic = np.unravel_index(i, ent.shape)
-        if ent[ib, ic] > best_val:
-            best_val = float(ent[ib, ic])
-            best = (float(a), float(B[ib, ic]), float(C[ib, ic]))
-    return best, best_val
+    n = resolution
+    g = np.arange(n + 1) / n
+    table = -xlogy(g, g)
+    # scores are compared on a 2**-40 lattice, where sums are exact: float
+    # sums depend on the order of their terms, so permutations of one
+    # composition would not tie
+    score = np.rint(table * 2.0 ** 40).astype(np.int64)
+    inner = min(sides - 1, 2)
+    # the last `inner` free parts, sorted by their sum (lexicographically
+    # within one sum), so the tuples summing to at most m form a prefix
+    free = np.indices((n + 1,) * inner).reshape(inner, -1).T
+    free = free[np.argsort(free.sum(axis=1), kind="stable")]
+    used = free.sum(axis=1)
+    free_score = score[free].sum(axis=1)
+    best_score, best = -1, None
+    for outer in itertools.product(range(n + 1), repeat=sides - 1 - inner):
+        m = n - sum(outer)
+        if m < 0:
+            continue
+        size = math.comb(m + inner, inner)
+        chunk = free_score[:size] + score[m - used[:size]]
+        peak = chunk.max()
+        top = int(peak) + int(score[list(outer)].sum())
+        if top > best_score:
+            ties = np.flatnonzero(chunk == peak)
+            last = min(tuple(int(v) for v in free[i]) for i in ties)
+            best_score = top
+            best = outer + last + (m - sum(last),)
+    params = tuple(k / n for k in best[:-1])
+    return params, float(table[list(best)].sum())
 
 
 def _entropy_of_params(params: np.ndarray) -> float:

@@ -36,6 +36,10 @@ class DomainError(IsogradError, ValueError):
     """A function could not be evaluated at a probe point."""
 
 
+class NonFinite(DomainError):
+    """An input value is NaN or infinite."""
+
+
 class DegenerateMarginal(DomainError):
     """A marginal distribution has zero variance, so correlation is undefined."""
 

@@ -8,7 +8,10 @@ constrained optimum of a payoff that is polylinear in the three
 probabilities.  This module provides the surface geometry (``r_plus`` /
 ``r_minus`` branches and the permissible (p, q) region), a discrepancy-style
 payoff whose value depends on which gradient semantics the optimizer is
-allowed to use, and deterministic grid-plus-polish maximizers for both.
+allowed to use, and deterministic maximizers for both.
+
+The slice maximizer meshes the (p, q) square, refines on the bounding curve
+(rho > 0) or at the corner grid node (rho <= 0), and cross-checks the two.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ DISCREPANCY_GRID = 41
 DEFAULT_RHOS = (1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0)
 #: Grid and refined optima may differ by at most this much in value.
 _DISAGREEMENT_TOL = 1e-3
-#: Number of best grid cells used to seed the simplex polish.
-_POLISH_SEEDS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +168,14 @@ class CorrelationSlice:
         """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
+        return self._mask(p, q, self.surface(p, q))
+
+    def _mask(self, p: np.ndarray, q: np.ndarray, r) -> np.ndarray:
+        """:meth:`region` given the surface values ``r`` at (p, q)."""
         ok = (p >= -RANGE_TOL) & (p <= 1.0 + RANGE_TOL) \
             & (q >= -RANGE_TOL) & (q <= 1.0 + RANGE_TOL)
         if self.rho == 0.0:
             return ok
-        r = _surface_clamped(p, q, self.rho)
         ok &= (r >= -RANGE_TOL) & (r <= 1.0 + RANGE_TOL)
         if abs(self.rho) < 1.0:
             bound = _bound_clamped(p, self.rho)
@@ -198,8 +202,9 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
         return np.column_stack([g, np.ones_like(g), np.zeros_like(g)])
     slc = CorrelationSlice(rho)
     P, Q = np.meshgrid(g, g, indexing="ij")
-    mask = slc.region(P, Q)
-    R = np.clip(slc.surface(P, Q), 0.0, 1.0)
+    R = slc.surface(P, Q)
+    mask = slc._mask(P, Q, R)
+    R = np.clip(R, 0.0, 1.0)
     return np.column_stack([P[mask], Q[mask], R[mask]])
 
 
@@ -310,47 +315,32 @@ def slice_payoff(p, q, rho: float):
     slc = CorrelationSlice(rho)
     r = slc.surface(p, q)
     value = 2.0 * p + 3.0 * q - 3.0 * p * q - p * r
-    out = np.where(slc.region(p, q), value, 0.0)
+    out = np.where(slc._mask(p, q, r), value, 0.0)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _polish_coords(rho: float, p: float, t: float) -> tuple[float, float]:
-    """Map box coordinates (p, t) in [0,1]^2 onto a feasible (p, q) pair.
-
-    ``t`` sweeps the permissible q band at each p, which removes the region
-    indicator's discontinuity from the polish objective.
-    """
-    if rho == 0.0:
-        return p, t
-    b = float(_bound_clamped(p, rho))
-    if rho > 0.0:
-        return p, t * b
-    return p, b + t * (1.0 - b)
-
-
-def _box_seed(rho: float, p: float, q: float) -> tuple[float, float]:
-    """Inverse of :func:`_polish_coords` for seeding the polish."""
-    if rho == 0.0:
-        return p, q
-    b = float(_bound_clamped(p, rho))
-    if rho > 0.0:
-        t = q / b if b > 0.0 else 1.0
-    else:
-        t = (q - b) / (1.0 - b) if b < 1.0 else 1.0
-    return p, float(np.clip(t, 0.0, 1.0))
-
-
 def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumReport:
     """Maximize the tree payoff over one constant-correlation slice.
 
-    Deterministic scheme: dense grid over the unit (p, q) square, then a
-    Nelder-Mead polish seeded from the best grid cells (run in band
-    coordinates so the region indicator stays out of the way), plus a 1-D
-    polish along the bounding curve for rho > 0, where the optimum rides
-    r = 1.  The extreme slices rho = +/-1 are hard pins (q, r) = (0, 1) /
-    (1, 0), leaving a linear payoff in p alone.
+    Deterministic scheme in three steps:
+
+    1. Grid: :func:`slice_payoff` on a ``grid`` x ``grid`` mesh of the unit
+       (p, q) square; the first maximum in C order is the grid optimum.
+    2. Refinement where the optimum is known to lie.  For 0 < rho < 1 it
+       rides the bounding curve q = p/(p + k), k = rho^2/(1 - rho^2), where
+       r = 1 and the payoff is p + 3q(1 - p); a bounded 1-D search (Brent)
+       along that curve refines it.  For rho <= 0 the payoff is
+       3 - 3(1 - p)(1 - q) - p(1 + r) <= 3, with equality only at the corner
+       (p, q) = (0, 1), which is a grid node and the refined optimum.
+    3. Cross-check: if the refined and grid values differ by more than 1e-3,
+       :class:`ConvergenceFailure` is raised (the grid is too coarse to
+       confirm the refinement).
+
+    The extreme slices rho = +/-1 are hard pins (q, r) = (0, 1) / (1, 0),
+    leaving a linear payoff in p alone.  ``diagnostics["iterations"]``
+    counts the payoff evaluations of the 1-D search (0 for rho <= 0).
     """
     rho = _validate_rho(rho)
     grid = _validate_grid(grid, minimum=11)
@@ -370,39 +360,21 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
         )
 
     g = np.linspace(0.0, 1.0, grid)
-    P, Q = np.meshgrid(g, g, indexing="ij")
+    P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
     V = slice_payoff(P, Q, rho)
-    order = np.argsort(-V, axis=None, kind="stable")
-    top = order[:_POLISH_SEEDS]
-    grid_value = float(V.flat[top[0]])
-    gi, gj = np.unravel_index(int(top[0]), V.shape)
-    candidates: list[tuple[float, float, float]] = [
-        (grid_value, float(g[gi]), float(g[gj]))]
-
-    def negated(z: np.ndarray) -> float:
-        p, t = np.clip(z, 0.0, 1.0)
-        pp, qq = _polish_coords(rho, float(p), float(t))
-        return -float(slice_payoff(pp, qq, rho))
-
-    iterations = 0
-    for flat in top:
-        i, j = np.unravel_index(int(flat), V.shape)
-        seed = _box_seed(rho, float(g[i]), float(g[j]))
-        res = minimize(negated, np.asarray(seed), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13,
-                                "maxiter": 2000})
-        iterations += int(res.nit)
-        p, t = np.clip(res.x, 0.0, 1.0)
-        pp, qq = _polish_coords(rho, float(p), float(t))
-        candidates.append((float(slice_payoff(pp, qq, rho)), pp, qq))
+    gi, gj = np.unravel_index(int(np.argmax(V)), V.shape)
+    grid_value = float(V[gi, gj])
+    candidates = [(grid_value, float(g[gi]), float(g[gj]))]
     if rho > 0.0:
-        # for positive correlation the optimum sits on the bounding curve
         res = minimize_scalar(
             lambda p: -float(slice_payoff(p, float(_bound_clamped(p, rho)), rho)),
             bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
-        iterations += int(res.nfev)
+        iterations = int(res.nfev)
         pb = float(res.x)
         candidates.append((float(-res.fun), pb, float(_bound_clamped(pb, rho))))
+    else:
+        iterations = 0
+        candidates.append((float(slice_payoff(0.0, 1.0, rho)), 0.0, 1.0))
 
     value, p, q = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
     disagreement = abs(value - grid_value)

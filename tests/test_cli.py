@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isograd
 from isograd.cli import OUT_OF_SCOPE, Report, RunConfig, main, render
 from isograd.errors import BadParams
 
@@ -26,10 +31,6 @@ class TestRunConfig:
         assert config.format == "text"
         assert config.precision == 6
         assert config.grid == 401
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(BadParams):
-            RunConfig(command="surface", grid=10)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(BadParams):
@@ -77,6 +78,15 @@ class TestExitCodes:
         assert code == 2
         assert "grid" in err
 
+    def test_grid_minimum_is_per_command(self, capsys):
+        code, out, err = run_cli(capsys, "surface", "--rho", "0.5",
+                                 "--grid", "5")
+        assert code == 0 and err == ""
+        assert "grid=5" in out
+        code, out, err = run_cli(capsys, "surface", "--rho", "0.5",
+                                 "--grid", "1")
+        assert code == 2 and "grid" in err
+
     def test_tree_opt_needs_exactly_one_target(self, capsys):
         code, out, err = run_cli(capsys, "tree-opt")
         assert code == 2
@@ -100,6 +110,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "joint", "--op", "fisher",
                                  "--point", "a,b,c,d")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("template", ["0.3,0,0,{}", "{},0,0,0.6"])
+    def test_non_finite_point_rejected(self, capsys, bad, template):
+        code, out, err = run_cli(capsys, "joint", "--op", "entropy-gradient",
+                                 "--mode", "limit",
+                                 "--point=" + template.format(bad))
+        assert code == 2 and out == ""
+        assert f"--point: {bad} is not a finite number" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_rejected(self, capsys, bad):
+        code, out, err = run_cli(capsys, "game", "--cx", f"3,{bad},-1,4")
+        assert code == 2 and out == ""
+        assert f"--cx: {bad} is not a finite number" in err
 
     def test_unsupported_mode_rejected(self, capsys):
         code, out, err = run_cli(capsys, "joint", "--op", "fisher",
@@ -389,3 +414,34 @@ class TestRenderHelpers:
         payload = json.loads(render(report, config))
         assert payload["v"] == 1.03067
         assert payload["w"] == ["inf"]
+
+
+class TestEntryPoints:
+    def test_module_entry_point_warns_nothing(self):
+        src = str(Path(isograd.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run([sys.executable, "-m", "isograd.cli", "game"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("two-stage game")
+
+    def test_cli_is_a_lazy_package_attribute(self):
+        assert "cli" in isograd.__all__
+        assert isograd.cli.main is main
+        with pytest.raises(AttributeError):
+            isograd.no_such_module
+
+
+class TestReadme:
+    def test_sweep_example_is_verbatim(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        prompt = "$ isograd tree-opt --sweep --format csv\n"
+        block = readme.read_text().split(prompt, 1)[1].split("```", 1)[0]
+        code, out, err = run_cli(capsys, "tree-opt", "--sweep",
+                                 "--format", "csv")
+        assert code == 0
+        assert out == block

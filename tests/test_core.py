@@ -23,6 +23,7 @@ from isograd.errors import (
     BadDimension,
     DomainError,
     InfeasiblePoint,
+    NonFinite,
     NotNormalized,
     OutOfRange,
     PreconditionError,
@@ -73,6 +74,19 @@ class TestResolve:
         pv = resolve((0.2, 0.3, 0.1, 0.4))
         again = pv.with_free(pv.free)
         np.testing.assert_allclose(again.probs, pv.probs, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_non_finite_rejected(self, bad, slot):
+        point = [0.3, 0.0, 0.0, 0.7]
+        point[slot] = bad
+        with pytest.raises(NonFinite, match=repr(bad)):
+            resolve(point)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_prob_vector_rejects_non_finite(self, bad):
+        with pytest.raises(NonFinite, match=repr(bad)):
+            ProbVector((0.5, bad), 1)
 
 
 class TestSimplexScalars:

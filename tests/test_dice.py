@@ -1,5 +1,6 @@
 """Dice payoff F = V^2 * E: values, optimizers, and the embedding conflict."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from isograd.core import (
     resolve,
     simplex_volume,
 )
+from isograd import dice
 from isograd.dice import (
     ALL_SPACES,
     COIN,
@@ -25,7 +27,7 @@ from isograd.dice import (
     maximize_unconstrained,
     objective_F,
 )
-from isograd.errors import InfeasiblePoint
+from isograd.errors import InfeasiblePoint, NonFinite
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -41,6 +43,14 @@ class TestSpaces:
         assert COIN.volume == 1.0
         assert TRIANGLE.volume == 0.5
         assert SQUARE.volume == simplex_volume(4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_face_point_rejects_non_finite(self, bad, slot):
+        params = [0.2, 0.3]
+        params[slot] = bad
+        with pytest.raises(NonFinite, match=repr(bad)):
+            TRIANGLE.face_point(params)
 
 
 class TestObjective:
@@ -107,6 +117,34 @@ class TestDirectedGradient:
                                  self.DIR)
         np.testing.assert_allclose(res.components[0], want, rtol=1e-6,
                                    atol=1e-9)
+
+
+def _brute_force_grid(sides, n):
+    """Lexicographically first composition of n of maximal entropy.
+
+    Entropy log n - log(prod k^k) / n falls as the integer prod k^k grows,
+    so comparing that product is exact.
+    """
+    comps = [c for c in itertools.product(range(n + 1), repeat=sides)
+             if sum(c) == n]
+    best = min(comps, key=lambda c: (math.prod(k ** k for k in c), c))
+    entropy = -sum(k / n * math.log(k / n) for k in best if k)
+    return tuple(k / n for k in best[:-1]), entropy
+
+
+class TestEntropyGrid:
+    @pytest.mark.parametrize("sides", [2, 3, 4])
+    def test_matches_brute_force_enumeration(self, sides):
+        for n in range(1, 13):
+            params, value = dice._entropy_on_grid(sides, n)
+            want_params, want_value = _brute_force_grid(sides, n)
+            assert params == want_params, f"sides={sides} n={n}"
+            assert value == pytest.approx(want_value, abs=1e-12)
+
+    def test_ties_resolve_to_the_lexicographically_smallest_point(self):
+        # 200 = 66 + 67 + 67 and its two other orders tie exactly
+        params, _ = dice._entropy_on_grid(3, 200)
+        assert params == (0.33, 0.335)
 
 
 class TestMaximizers:

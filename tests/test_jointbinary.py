@@ -16,6 +16,7 @@ from isograd.errors import (
     DomainError,
     EmptyData,
     InfeasiblePoint,
+    NonFinite,
     NotNormalized,
     OutOfRange,
     PreconditionError,
@@ -57,6 +58,14 @@ class TestJointPoint:
             JointPoint(0.4, 0.4, 0.4, 0.4)
         with pytest.raises(OutOfRange):
             JointPoint(1.2, -0.2, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", range(4))
+    def test_non_finite_rejected(self, bad, cell):
+        cells = [0.3, 0.0, 0.0, 0.7]
+        cells[cell] = bad
+        with pytest.raises(NonFinite, match=repr(bad)):
+            JointPoint(*cells)
 
 
 class TestCountData:

@@ -1,5 +1,8 @@
 """Tests for the correlation-slice geometry and tree-payoff optimizers."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -390,6 +393,56 @@ class TestMaximizePayoffOnSlice:
         assert rep.diagnostics["disagreement"] <= 1e-3
         assert rep.label == "rho=+0.5"
         assert rep.mode == "slice"
+
+
+def _curve_maximum(rho: float) -> float:
+    """Closed-form maximum of p + 3q(1 - p) on q = p/(p + k), p in [0, 1].
+
+    The slope 1 + 3(k - 2pk - p^2)/(p + k)^2 vanishes at
+    p = -k + sqrt(1.5 k (k + 1)) and is positive below it.
+    """
+    k = rho * rho / (1.0 - rho * rho)
+    p = min(1.0, -k + math.sqrt(1.5 * k * (k + 1.0)))
+    return p + 3.0 * p * (1.0 - p) / (p + k)
+
+
+# about 60 slices across (-1, 1), with the two default-grid refusals
+CLAIM_RHOS = sorted({round(x, 3) for x in np.linspace(-0.99, 0.99, 58)}
+                    | {0.0, 0.13, 0.48})
+
+
+class TestRefinementClaims:
+    """The optimum lies on the bounding curve (rho > 0) or the corner."""
+
+    def test_no_band_point_beats_the_refined_optimum(self):
+        g = np.linspace(0.0, 1.0, 601)
+        P, T = np.meshgrid(g, g, indexing="ij")
+        for rho in CLAIM_RHOS:
+            k = rho * rho / (1.0 - rho * rho)
+            if rho > 0.0:
+                Q = T * P / (P + k)
+                best = _curve_maximum(rho)
+            elif rho < 0.0:
+                bound = 1.0 / (1.0 + P / k)
+                Q = bound + T * (1.0 - bound)
+                best = 3.0
+            else:
+                Q, best = T, 3.0
+            excess = float(treeopt.slice_payoff(P, Q, rho).max()) - best
+            assert excess <= 1e-9, f"rho={rho}: {excess:.3e} above"
+
+    def test_refined_optimum_is_the_closed_form(self):
+        for rho in CLAIM_RHOS:
+            best = _curve_maximum(rho) if rho > 0.0 else 3.0
+            try:
+                value = treeopt.maximize_payoff_on_slice(rho).value
+            except ConvergenceFailure as exc:
+                value = float(re.search(r"refined optimum (\S+) ",
+                                        str(exc)).group(1))
+                assert value == pytest.approx(best, abs=1e-6), f"rho={rho}"
+            else:
+                # the region admits q up to 1e-9 past the bound
+                assert value == pytest.approx(best, abs=1e-9), f"rho={rho}"
 
 
 class TestSweep:
