@@ -14,44 +14,17 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import dice, game, gaussian, jointbinary, strategy, treeopt
-from .core import Constrained, Limit, gradient, simplex_volume
+from .core import MODES, gradient, mode_named, simplex_volume
 from .errors import BadParams, ConvergenceFailure, IsogradError, NonFinite
 from .jointbinary import CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION
 
-FORMATS = ("text", "csv", "json")
 OUT_OF_SCOPE = "out of scope (no construction given)"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by every subcommand."""
-
-    command: str
-    format: str = "text"
-    precision: int = 6
-    grid: int = 401
-    seed: int = 42
-    samples: int = 20
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise BadParams(f"format must be one of {FORMATS}, "
-                            f"got {self.format!r}")
-        if self.precision < 1:
-            raise BadParams(f"precision must be positive, got {self.precision}")
-        if self.seed < 0:
-            raise BadParams(f"seed must be non-negative, got {self.seed}")
-        if self.samples < 1:
-            raise BadParams(f"samples must be positive, got {self.samples}")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise BadParams(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -135,43 +108,49 @@ def _render_json(report: Report, precision: int) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def render(report: Report, config: RunConfig) -> str:
-    if config.format == "text":
-        return _render_text(report, config.precision)
-    if config.format == "csv":
-        return _render_csv(report, config.precision)
-    return _render_json(report, config.precision)
+_RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
+
+
+def render(report: Report, fmt: str = "text", precision: int = 6) -> str:
+    return _RENDERERS[fmt](report, precision)
 
 
 # ---------------------------------------------------------------------------
 # argument helpers
 
 
-def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
+def _setting(convert: Callable[[str], Any], rule: str,
+             ok: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """An argparse ``type=`` that converts a flag value and checks ``rule``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    # argparse names the type in its "invalid int value: 'x'" message
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_AT_LEAST_ONE = _setting(int, "at least 1", lambda v: v >= 1)
+_NON_NEGATIVE = _setting(int, "non-negative", lambda v: v >= 0)
+_TOLERANCE = _setting(float, "positive and finite", lambda v: 0 < v < math.inf)
+
+
+def _parse_list(text: str, count: int, name: str,
+                convert: Callable[[str], Any] = float) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise BadParams(f"{name} needs {count} comma-separated values, "
                         f"got {len(parts)} in {text!r}")
     try:
-        values = tuple(float(p) for p in parts)
+        values = tuple(convert(p) for p in parts)
     except ValueError as exc:
         raise BadParams(f"{name}: {exc}") from exc
     for v in values:
         if not math.isfinite(v):
             raise NonFinite(f"{name}: {v!r} is not a finite number")
     return values
-
-
-def _parse_counts(text: str) -> jointbinary.CountData:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise BadParams(f"--counts needs 4 comma-separated integers, "
-                        f"got {len(parts)} in {text!r}")
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise BadParams(f"--counts: {exc}") from exc
-    return jointbinary.CountData(*values)
 
 
 def _point_label(probs, precision: int) -> str:
@@ -206,18 +185,18 @@ def _gradient_payload(result) -> dict[str, Any]:
 # subcommands
 
 
-def _cmd_dice(ns: argparse.Namespace, config: RunConfig) -> Report:
+def _cmd_dice(ns: argparse.Namespace) -> Report:
     rows = []
     payload: dict[str, Any] = {"per_space": [], "constrained_target": []}
     for rep in dice.maximize_per_space():
         rows.append(("per-space", rep.label, rep.value, rep.point))
-        payload["per_space"].append(rep.to_dict())
+        payload["per_space"].append(asdict(rep))
     for rep in dice.maximize_constrained_target():
         rows.append(("constrained-target", rep.label, rep.value, rep.point))
-        payload["constrained_target"].append(rep.to_dict())
+        payload["constrained_target"].append(asdict(rep))
     rep = dice.maximize_unconstrained()
     rows.append(("unconstrained", rep.label, rep.value, rep.point))
-    payload["unconstrained"] = rep.to_dict()
+    payload["unconstrained"] = asdict(rep)
     conflicts = bool(rep.diagnostics["conflicts_with_constrained"])
     payload["unconstrained_conflicts_with_per_space"] = conflicts
     return Report(
@@ -230,37 +209,18 @@ def _cmd_dice(ns: argparse.Namespace, config: RunConfig) -> Report:
     )
 
 
-def _cmd_gaussian_check(ns: argparse.Namespace, config: RunConfig) -> Report:
-    checks = gaussian.check_suite()
-    rows = []
-    payload_rows = []
-    for check in checks:
-        passed = check.passed
-        if config.tolerance is not None:
-            # re-derive the verdict from the reported statistics
-            if check.mode == "constrained":
-                passed = check.statistic < config.tolerance
-            else:
-                passed = (check.details["max_error"] < config.tolerance
-                          and abs(check.statistic) > 1e-3)
-        rows.append((check.relation, check.mode, check.statistic,
-                     check.expected, passed))
-        payload_rows.append({
-            "relation": check.relation, "mode": check.mode,
-            "statistic": check.statistic, "expected": check.expected,
-            "passed": passed,
-        })
-    params = gaussian.DEFAULT_PARAMS
+def _cmd_gaussian_check(ns: argparse.Namespace) -> Report:
+    checks = gaussian.check_suite(tol=ns.tol)
     payload = {
-        "params": list(params.as_array()),
-        "rows": payload_rows,
-        "all_passed": all(r[-1] for r in rows),
+        "params": list(gaussian.DEFAULT_PARAMS.as_array()),
+        "rows": [asdict(check) for check in checks],
+        "all_passed": all(check.passed for check in checks),
     }
     return Report(
         title="bivariate-normal independence relations: gradient checks at "
               "rho=0",
         columns=("relation", "mode", "statistic", "expected", "passed"),
-        rows=tuple(rows),
+        rows=tuple(astuple(check) for check in checks),
         payload=payload,
         footer=(f"all passed: {'true' if payload['all_passed'] else 'false'}",),
     )
@@ -269,100 +229,78 @@ def _cmd_gaussian_check(ns: argparse.Namespace, config: RunConfig) -> Report:
 def _require_point(ns: argparse.Namespace) -> jointbinary.JointPoint:
     if ns.point is None:
         raise BadParams(f"--point is required for --op {ns.op}")
-    a, b, c, d = _parse_floats(ns.point, 4, "--point")
+    a, b, c, d = _parse_list(ns.point, 4, "--point")
     return jointbinary.JointPoint(a, b, c, d)
 
 
 def _require_counts(ns: argparse.Namespace) -> jointbinary.CountData:
     if ns.counts is None:
         raise BadParams(f"--counts is required for --op {ns.op}")
-    return _parse_counts(ns.counts)
+    return jointbinary.CountData(*_parse_list(ns.counts, 4, "--counts", int))
 
 
-def _cmd_joint(ns: argparse.Namespace, config: RunConfig) -> Report:
-    grad_columns = ("quantity", "mode", "kind", "value", "magnitude",
-                    "evidence")
-    if ns.op == "entropy-gradient":
+_GRADIENT_COLUMNS = ("quantity", "mode", "kind", "value", "magnitude",
+                     "evidence")
+
+
+def _cmd_joint(ns: argparse.Namespace) -> Report:
+    payload: dict[str, Any] = {"op": ns.op, "mode": ns.mode}
+    if ns.op != "mle":
         point = _require_point(ns)
-        result = jointbinary.entropy_gradient(point, mode=ns.mode)
-        return Report(
-            title=f"joint-entropy gradient at {_point_label(point.probs, config.precision)} [{ns.mode}]",
-            columns=grad_columns,
-            rows=(_gradient_row("E_xy", ns.mode, result),),
-            payload={"op": ns.op, "mode": ns.mode, "point": list(point.probs),
-                     "gradient": _gradient_payload(result)},
-        )
+        payload["point"] = list(point.probs)
+        at = f"at {_point_label(point.probs, ns.precision)}"
+    if ns.op in ("loglik-gradient", "mle"):
+        counts = _require_counts(ns)
+        payload["counts"] = list(counts.counts)
     if ns.op == "fisher":
-        point = _require_point(ns)
         matrix = jointbinary.fisher_information(point, mode=ns.mode)
         k = matrix.shape[0]
-        columns = ("row",) + tuple(f"F_{j}" for j in range(k))
-        rows = tuple((i,) + tuple(float(v) for v in matrix[i])
-                     for i in range(k))
-        return Report(
-            title=f"Fisher information at {_point_label(point.probs, config.precision)} [{ns.mode}]",
-            columns=columns, rows=rows,
-            payload={"op": ns.op, "mode": ns.mode, "point": list(point.probs),
-                     "dimension": int(k),
-                     "matrix": [[float(v) for v in row] for row in matrix]},
-        )
-    if ns.op == "loglik-gradient":
-        point = _require_point(ns)
-        counts = _require_counts(ns)
-        result = jointbinary.log_likelihood_gradient(counts, point,
-                                                     mode=ns.mode)
-        return Report(
-            title=f"log-likelihood gradient at {_point_label(point.probs, config.precision)} "
-                  f"counts={counts.counts} [{ns.mode}]",
-            columns=grad_columns,
-            rows=(_gradient_row("log L", ns.mode, result),),
-            payload={"op": ns.op, "mode": ns.mode, "point": list(point.probs),
-                     "counts": list(counts.counts),
-                     "gradient": _gradient_payload(result)},
-        )
+        payload.update(dimension=int(k),
+                       matrix=[[float(v) for v in row] for row in matrix])
+        return Report(f"Fisher information {at} [{ns.mode}]",
+                      ("row",) + tuple(f"F_{j}" for j in range(k)),
+                      tuple((i,) + tuple(float(v) for v in matrix[i])
+                            for i in range(k)), payload)
     if ns.op == "mle":
-        counts = _require_counts(ns)
         estimate = jointbinary.mle(counts, mode=ns.mode)
-        return Report(
-            title=f"maximum-likelihood estimate from counts={counts.counts} "
-                  f"[{ns.mode}]",
-            columns=("n_a", "n_b", "n_c", "n_d", "a", "b", "c", "d"),
-            rows=(counts.counts + estimate.probs,),
-            payload={"op": ns.op, "mode": ns.mode,
-                     "counts": list(counts.counts),
-                     "estimate": list(estimate.probs)},
-        )
+        payload["estimate"] = list(estimate.probs)
+        return Report(f"maximum-likelihood estimate from "
+                      f"counts={counts.counts} [{ns.mode}]",
+                      ("n_a", "n_b", "n_c", "n_d", "a", "b", "c", "d"),
+                      (counts.counts + estimate.probs,), payload)
     if ns.op == "relations":
-        point = _require_point(ns)
+        title = f"{ns.family}-family relation gradients {at}"
         suite = jointbinary.relation_suite(point, ns.family, mode=ns.mode)
-        rows = tuple(_gradient_row(label, ns.mode, result)
-                     for label, result in suite)
-        return Report(
-            title=f"{ns.family}-family relation gradients at {_point_label(point.probs, config.precision)} "
-                  f"[{ns.mode}]",
-            columns=grad_columns, rows=rows,
-            payload={"op": ns.op, "mode": ns.mode, "family": ns.family,
-                     "point": list(point.probs),
-                     "rows": [{"relation": label,
-                               "gradient": _gradient_payload(result)}
-                              for label, result in suite]},
-        )
-    raise BadParams(f"unknown op {ns.op!r}")
+        payload.update(family=ns.family, rows=[
+            {"relation": label, "gradient": _gradient_payload(result)}
+            for label, result in suite])
+    else:
+        if ns.op == "entropy-gradient":
+            title = f"joint-entropy gradient {at}"
+            suite = [("E_xy", jointbinary.entropy_gradient(point, ns.mode))]
+        else:
+            title = f"log-likelihood gradient {at} counts={counts.counts}"
+            suite = [("log L", jointbinary.log_likelihood_gradient(
+                counts, point, ns.mode))]
+        payload["gradient"] = _gradient_payload(suite[0][1])
+    return Report(f"{title} [{ns.mode}]", _GRADIENT_COLUMNS,
+                  tuple(_gradient_row(label, ns.mode, result)
+                        for label, result in suite), payload)
 
 
 _TABLE_CASES = {"corr": "correlated", "ind": "independent"}
 
 
-def _cmd_table1(ns: argparse.Namespace, config: RunConfig) -> Report:
+def _cmd_table1(ns: argparse.Namespace) -> Report:
     case = _TABLE_CASES[ns.case]
-    report = strategy.table1(case, n_samples=config.samples, seed=config.seed)
+    report = strategy.table1(case, n_samples=ns.samples, seed=ns.seed)
     rows = tuple(
         (e.row, e.group, e.column, e.expected, e.dimension,
          e.kinds, e.worst_error, e.evidence, e.passed)
         for e in report.entries)
     return Report(
         title=f"two-route gradient table, {case} case "
-              f"(seed={config.seed}, samples={config.samples})",
+              f"(seed={ns.seed}, samples={ns.samples})",
         columns=("row", "group", "column", "expected", "dimension", "kinds",
                  "worst_error", "evidence", "passed"),
         rows=rows,
@@ -380,19 +318,19 @@ def _slice_row(rep, best) -> tuple[Any, ...]:
             rep.point[2], rep.diagnostics["boundary"], rep is best)
 
 
-def _cmd_tree_opt(ns: argparse.Namespace, config: RunConfig) -> Report:
+def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
     if ns.sweep == (ns.rho is not None):
         raise BadParams("exactly one of --rho and --sweep is required")
     if ns.sweep:
-        result = treeopt.sweep(grid=config.grid)
-        title = f"payoff maxima per correlation slice (grid={config.grid})"
+        result = treeopt.sweep(grid=ns.grid)
+        title = f"payoff maxima per correlation slice (grid={ns.grid})"
     else:
-        row = treeopt.maximize_payoff_on_slice(ns.rho, grid=config.grid)
+        row = treeopt.maximize_payoff_on_slice(ns.rho, grid=ns.grid)
         result = treeopt.SweepResult(rows=(row,), best=row)
         title = (f"payoff maximum on the rho={ns.rho:+g} slice "
-                 f"(grid={config.grid})")
-    payload = result.to_dict()
-    payload["grid"] = config.grid
+                 f"(grid={ns.grid})")
+    payload = asdict(result)
+    payload["grid"] = ns.grid
     return Report(
         title=title,
         columns=_SLICE_COLUMNS,
@@ -400,26 +338,26 @@ def _cmd_tree_opt(ns: argparse.Namespace, config: RunConfig) -> Report:
         payload=payload,
         footer=(() if result.best is None else
                 (f"best slice: {result.best.label} with value "
-                 f"{_format_cell(result.best.value, config.precision)}",)),
+                 f"{_format_cell(result.best.value, ns.precision)}",)),
     )
 
 
-def _cmd_surface(ns: argparse.Namespace, config: RunConfig) -> Report:
-    points = treeopt.surface_points(ns.rho, grid=config.grid)
+def _cmd_surface(ns: argparse.Namespace) -> Report:
+    points = treeopt.surface_points(ns.rho, grid=ns.grid)
     return Report(
         title=f"constant-correlation surface rho={ns.rho:+g} "
-              f"(grid={config.grid}, {len(points)} points)",
+              f"(grid={ns.grid}, {len(points)} points)",
         columns=("p", "q", "r"),
         rows=tuple(tuple(float(v) for v in row) for row in points),
-        payload={"rho": float(ns.rho), "grid": config.grid,
+        payload={"rho": float(ns.rho), "grid": ns.grid,
                  "points": [[float(v) for v in row] for row in points]},
     )
 
 
-def _cmd_game(ns: argparse.Namespace, config: RunConfig) -> Report:
+def _cmd_game(ns: argparse.Namespace) -> Report:
     spec = game.GameSpec(
-        x_payoff=game.PayoffForm(*_parse_floats(ns.cx, 4, "--cx")),
-        y_payoff=game.PayoffForm(*_parse_floats(ns.cy, 4, "--cy")),
+        x_payoff=game.PayoffForm(*_parse_list(ns.cx, 4, "--cx")),
+        y_payoff=game.PayoffForm(*_parse_list(ns.cy, 4, "--cy")),
     )
     baseline = game.backward_induction(spec)
     table, chosen = game.global_comparison(spec)
@@ -433,19 +371,19 @@ def _cmd_game(ns: argparse.Namespace, config: RunConfig) -> Report:
         columns=("regime", "kind", "x_or_p", "y_or_q", "payoff_x", "payoff_y",
                  "chosen"),
         rows=tuple(rows),
-        payload={"baseline": baseline.to_dict(),
-                 "slices": [o.to_dict() for o in table],
-                 "chosen": chosen.to_dict()},
+        payload={"baseline": asdict(baseline),
+                 "slices": [asdict(o) for o in table],
+                 "chosen": asdict(chosen)},
         footer=(f"second mover picks {chosen.label}: payoffs "
-                f"({_format_cell(chosen.payoffs[0], config.precision)}, "
-                f"{_format_cell(chosen.payoffs[1], config.precision)}) vs "
+                f"({_format_cell(chosen.payoffs[0], ns.precision)}, "
+                f"{_format_cell(chosen.payoffs[1], ns.precision)}) vs "
                 f"backward-induction "
-                f"({_format_cell(baseline.payoffs[0], config.precision)}, "
-                f"{_format_cell(baseline.payoffs[1], config.precision)})",),
+                f"({_format_cell(baseline.payoffs[0], ns.precision)}, "
+                f"{_format_cell(baseline.payoffs[1], ns.precision)})",),
     )
 
 
-def _cmd_report(ns: argparse.Namespace, config: RunConfig) -> Report:
+def _cmd_report(ns: argparse.Namespace) -> Report:
     """Headline summary: the same pinned binary family read two ways.
 
     The family is the perfectly coupled pair (a, 0, 0, 1-a) at a = 1/2.  The
@@ -475,10 +413,10 @@ def _cmd_report(ns: argparse.Namespace, config: RunConfig) -> Report:
         j = jointbinary.joint_from_free(x)
         return float(j[0] + j[3])
 
-    norm_con = gradient(normalization_mass, pin.pv,
-                        Constrained(CORRELATED_CONSTRAINTS))
-    norm_lim = gradient(normalization_mass, pin.pv,
-                        Limit(CORRELATED_DIRECTION))
+    norm_con, norm_lim = (
+        gradient(normalization_mass, pin.pv,
+                 mode_named(name, CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION))
+        for name in ("constrained", "limit"))
     suite_con = dict(jointbinary.relation_suite(pin, "correlated",
                                                 "constrained"))
     suite_lim = dict(jointbinary.relation_suite(pin, "correlated", "limit"))
@@ -519,7 +457,7 @@ def _cmd_report(ns: argparse.Namespace, config: RunConfig) -> Report:
 # parser / dispatch
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], Report]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], Report]] = {
     "dice": _cmd_dice,
     "gaussian-check": _cmd_gaussian_check,
     "joint": _cmd_joint,
@@ -533,9 +471,9 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], Report]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text",
+    common.add_argument("--format", choices=tuple(_RENDERERS), default="text",
                         help="output format (default: text)")
-    common.add_argument("--precision", type=int, default=6,
+    common.add_argument("--precision", type=_AT_LEAST_ONE, default=6,
                         help="significant digits for printed floats "
                              "(default: 6)")
 
@@ -550,16 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entropy-payoff optima of embedded die spaces")
     gauss = sub.add_parser("gaussian-check", parents=[common],
                            help="bivariate-normal relation gradients at rho=0")
-    gauss.add_argument("--tol", type=float, default=None, dest="tol",
-                       help="override the pass/fail threshold")
+    gauss.add_argument("--tol", type=_TOLERANCE, default=None,
+                       help="override the pass/fail threshold (positive, "
+                            "finite)")
 
     joint = sub.add_parser("joint", parents=[common],
                            help="statistics of a 2x2 joint distribution")
     joint.add_argument("--op", required=True,
                        choices=("entropy-gradient", "fisher",
                                 "loglik-gradient", "mle", "relations"))
-    joint.add_argument("--mode", default="constrained",
-                       choices=("constrained", "unconstrained", "limit"))
+    joint.add_argument("--mode", default="constrained", choices=MODES)
     joint.add_argument("--point", default=None,
                        help="joint cells a,b,c,d (comma separated)")
     joint.add_argument("--counts", default=None,
@@ -571,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table1", parents=[common],
                            help="mixed/behavioural gradient comparison table")
     table.add_argument("--case", required=True, choices=tuple(_TABLE_CASES))
-    table.add_argument("--samples", type=int, default=20,
+    table.add_argument("--samples", type=_AT_LEAST_ONE, default=20,
                        help="sample points per cell (default: 20)")
-    table.add_argument("--seed", type=int, default=42,
+    table.add_argument("--seed", type=_NON_NEGATIVE, default=42,
                        help="sampling seed (default: 42)")
 
     tree = sub.add_parser("tree-opt", parents=[common],
@@ -608,18 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        format=ns.format,
-        precision=ns.precision,
-        grid=getattr(ns, "grid", 401),
-        seed=getattr(ns, "seed", 42),
-        samples=getattr(ns, "samples", 20),
-        tolerance=getattr(ns, "tol", None),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -627,9 +553,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _config_from(ns)
-        report = _COMMANDS[ns.command](ns, config)
-        output = render(report, config)
+        report = _COMMANDS[ns.command](ns)
+        output = render(report, ns.format, ns.precision)
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

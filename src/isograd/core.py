@@ -64,7 +64,7 @@ class ProbVector:
             raise BadDimension(f"need at least 2 outcomes, got {n}")
         if not 0 <= self.resolved_index < n:
             raise BadDimension(f"resolved_index {self.resolved_index} out of range")
-        _require_finite(self.probs)
+        require_finite(self.probs)
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise OutOfRange(f"probabilities outside [0, 1]: {self.probs}")
         s = math.fsum(self.probs)
@@ -97,7 +97,7 @@ class ProbVector:
         return ProbVector(free[:i] + (resolved,) + free[i:], i)
 
 
-def _require_finite(values: Sequence[float]) -> None:
+def require_finite(values: Sequence[float]) -> None:
     for v in values:
         if not math.isfinite(v):
             raise NonFinite(f"probability {v!r} is not finite")
@@ -108,7 +108,7 @@ def resolve(point: Sequence[float]) -> ProbVector:
     vals = [float(v) for v in point]
     if len(vals) < 2:
         raise BadDimension(f"need at least 2 outcomes, got {len(vals)}")
-    _require_finite(vals)
+    require_finite(vals)
     for v in vals:
         if v < -PROB_SUM_TOL or v > 1.0 + PROB_SUM_TOL:
             raise OutOfRange(f"probability {v!r} outside [0, 1]")
@@ -196,6 +196,29 @@ class Limit:
 
 
 GradientMode = Union[Constrained, Limit]
+
+#: The mode names every module and the CLI accept.
+MODES = ("constrained", "unconstrained", "limit")
+
+
+def mode_named(name: str, constraints: ConstraintSet, direction=None,
+               epsilons=None) -> GradientMode:
+    """The gradient mode a name stands for.
+
+    ``constrained`` substitutes ``constraints``; ``unconstrained``
+    substitutes none; ``limit`` approaches along ``direction`` down the
+    ``epsilons`` ladder (default :data:`DEFAULT_LADDER`).
+    """
+    if name == "constrained":
+        return Constrained(constraints)
+    if name == "unconstrained":
+        return Constrained(ConstraintSet.empty())
+    if name == "limit":
+        if direction is None:
+            raise PreconditionError("limit mode needs an approach direction")
+        return Limit(tuple(direction), DEFAULT_LADDER if epsilons is None
+                     else tuple(epsilons))
+    raise PreconditionError(f"unknown mode {name!r}; one of {MODES}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
-from .core import ConstraintSet, ProbVector, entropy, resolve, simplex_volume
+from .core import (ConstraintSet, ProbVector, entropy, require_finite,
+                   resolve, simplex_volume)
 from .errors import BadDimension, InfeasiblePoint
 from .reports import OptimumReport
 
@@ -49,6 +50,7 @@ class DieSpace:
         if len(params) != self.sides - 1:
             raise BadDimension(
                 f"{self.label} face takes {self.sides - 1} parameters")
+        require_finite(params)   # before fsum, which raises on inf - inf
         live = params + [1.0 - math.fsum(params)]
         return resolve(live + [0.0] * (4 - self.sides))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 from .errors import BadParams, ConvergenceFailure, UnsupportedRho
 
@@ -75,14 +74,6 @@ class GameOutcome:
     kind: str
     strategy: tuple[float, float]
     payoffs: tuple[float, float]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "strategy": list(self.strategy),
-            "payoffs": list(self.payoffs),
-        }
 
 
 def _outcome(game: GameSpec, label: str, kind: str,

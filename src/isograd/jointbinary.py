@@ -8,9 +8,14 @@ Two sub-families matter:
 * perfectly correlated points, b = c = 0 — a 1-dimensional space;
 * independent points, ad = bc — a 2-dimensional manifold.
 
-Every statistic (correlation, entropies, Fisher information, likelihood
-gradients) is computed both on the constrained space and on the full ambient
-space, and the two disagree in exactly the ways the relation suite documents.
+The entropy gradient, Fisher information and likelihood score have two
+finite readings, the pinned b = c = 0 family (``constrained``) and the open
+simplex (``unconstrained``).  Each reading is a tangent basis J over
+(a, b, c) plus the cells it keeps live, and every statistic is one pullback
+through J of its per-cell form (Amari & Nagaoka, *Methods of Information
+Geometry*, 2000).  The ``limit`` reading approaches the point from the
+ambient simplex instead, and the relation suite shows where the readings
+disagree.
 """
 
 from __future__ import annotations
@@ -23,12 +28,10 @@ from scipy.special import xlogy
 
 from .core import (
     ConstraintSet,
-    Constrained,
     GradientResult,
-    Limit,
     ProbVector,
-    finite_difference,
     gradient,
+    mode_named,
     resolve,
 )
 from .errors import (
@@ -161,87 +164,88 @@ def correlation(p: JointPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradient-mode plumbing
+# gradient readings
 
 CORRELATED_CONSTRAINTS = ConstraintSet.pin({1: 0.0, 2: 0.0}, "b=c=0")
 INDEPENDENT_CONSTRAINTS = ConstraintSet(
     ((lambda x: float(x[0] * (1.0 - x[0] - x[1] - x[2]) - x[1] * x[2]), 0.0),),
     "ad=bc")
 
+# d(a, b, c, d) / d(a, b, c): the resolved cell d = 1 - a - b - c pulls -1
+_CELL_JACOBIAN = np.vstack([np.eye(3), -np.ones((1, 3))])
 
-def _mode_for(p: JointPoint, mode: str, direction, epsilons,
-              constraints: ConstraintSet):
-    if mode == "constrained":
-        return Constrained(constraints)
-    if mode == "unconstrained":
-        return Constrained(ConstraintSet.empty())
-    if mode == "limit":
-        d = direction if direction is not None else (
-            CORRELATED_DIRECTION if constraints is CORRELATED_CONSTRAINTS
-            else INDEPENDENT_DIRECTION)
-        if epsilons is not None:
-            return Limit(tuple(d), tuple(epsilons))
-        return Limit(tuple(d))
-    raise PreconditionError(f"unknown mode {mode!r}")
+# finite reading -> (tangent basis J over (a, b, c), live cells): the pinned
+# b = c = 0 family keeps a and d, the open simplex keeps every cell
+_READINGS = {
+    "constrained": (np.array([[1.0], [0.0], [0.0]]), [0, 3]),
+    "unconstrained": (np.eye(3), [0, 1, 2, 3]),
+}
+
+
+def _reading(mode: str, what: str):
+    if mode not in _READINGS:
+        raise PreconditionError(f"{what} has no {mode!r} reading; one of "
+                                f"{tuple(_READINGS)}")
+    return _READINGS[mode]
+
+
+def _pullback(p: JointPoint, mode: str, what: str):
+    """(J, DJ, p): a finite reading's tangent basis J, its live cells'
+    derivatives along J and their probabilities.  Raises unless the dead
+    cells are zero and the live ones positive."""
+    J, live = _reading(mode, what)
+    probs = np.array(p.probs)
+    if np.any(np.delete(probs, live)):
+        raise InfeasiblePoint(f"{mode} {what} needs b = c = 0")
+    if np.any(probs[live] <= 0.0):
+        raise DomainError(f"{mode} {what} needs "
+                          + ", ".join("abcd"[i] for i in live) + " > 0")
+    return J, _CELL_JACOBIAN[live] @ J, probs[live]
+
+
+def _live_counts(counts: CountData, mode: str) -> np.ndarray:
+    """The counts on a checked reading's live cells; dead cells have none."""
+    n, live = np.array(counts.counts, dtype=float), _READINGS[mode][1]
+    if np.any(np.delete(n, live)):
+        raise DomainError("counts on zero-probability cells")
+    return n[live]
+
+
+def _finite(J: np.ndarray, components: np.ndarray) -> GradientResult:
+    return GradientResult(
+        kind="finite", components=tuple(float(v) for v in components),
+        basis=tuple(tuple(float(v) for v in col) for col in J.T))
 
 
 def entropy_gradient(p: JointPoint, mode: str = "constrained",
                      direction=None, epsilons=None) -> GradientResult:
     """Gradient of the joint entropy E_xy under the chosen semantics.
 
-    The finite modes return the closed form d(-sum p log p)/dp_i =
-    log(d / p_i) with the last cell resolved (restricted to the single
-    free coordinate on the pinned b = c = 0 family); limit mode follows
-    the ambient approach ladder.
+    A finite reading pulls the cell gradient -log p back: DJ^T (-log p),
+    which is log(d/a) on the pinned family and log(d/p_i) on the open
+    simplex (the +1 of d(-p log p) cancels over the cells).  Limit mode
+    follows the ambient approach ladder, by default along
+    CORRELATED_DIRECTION.
     """
-    a, b, c, d = p.probs
-    if mode == "constrained":
-        if b != 0.0 or c != 0.0:
-            raise InfeasiblePoint("constrained entropy gradient needs "
-                                  "b = c = 0")
-        if a <= 0.0 or d <= 0.0:
-            raise DomainError("entropy gradient needs a, d > 0")
-        return GradientResult(kind="finite",
-                              components=(math.log(d / a),),
-                              basis=((1.0, 0.0, 0.0),))
-    if mode == "unconstrained":
-        if min(p.probs) <= 0.0:
-            raise DomainError("entropy gradient needs an interior point")
-        return GradientResult(
-            kind="finite",
-            components=tuple(math.log(d / v) for v in (a, b, c)))
+    if mode in _READINGS:
+        J, grads, probs = _pullback(p, mode, "entropy gradient")
+        # the form -(grads.T @ log p) would print the symmetric pin as -0
+        return _finite(J, grads.T @ -np.log(probs))
     f = lambda x: entropy_xy(joint_from_free(x))
-    m = _mode_for(p, mode, direction, epsilons, CORRELATED_CONSTRAINTS)
-    return gradient(f, p.pv, m)
+    return gradient(f, p.pv, mode_named(
+        mode, CORRELATED_CONSTRAINTS,
+        CORRELATED_DIRECTION if direction is None else direction, epsilons))
 
 
 def fisher_information(p: JointPoint, mode: str = "constrained") -> np.ndarray:
     """Fisher information matrix of the multinomial joint model.
 
-    Constrained mode works on the b = c = 0 family with the single free
-    parameter a: F = 1/a + 1/d = 1/(a(1-a)).  Unconstrained mode is the full
-    3x3 defining sum over (a, b, c) with d resolved.
+    The pullback DJ^T diag(1/p) DJ of the cell metric (Amari & Nagaoka,
+    *Methods of Information Geometry*, 2000): 1/a + 1/d = 1/(a(1-a)) on the
+    pinned family, the full 3x3 matrix over (a, b, c) on the open simplex.
     """
-    a, b, c, d = p.probs
-    if mode == "constrained":
-        if b != 0.0 or c != 0.0:
-            raise InfeasiblePoint("constrained Fisher needs b = c = 0")
-        if a <= 0.0 or d <= 0.0:
-            raise DomainError("constrained Fisher needs a, d > 0")
-        return np.array([[1.0 / a + 1.0 / d]])
-    if mode == "unconstrained":
-        if min(p.probs) <= 0.0:
-            raise DomainError("unconstrained Fisher needs an interior point")
-        # score vectors d log P_o / d(a,b,c); the resolved cell pulls -1/d
-        scores = np.array([
-            [1.0 / a, 0.0, 0.0],
-            [0.0, 1.0 / b, 0.0],
-            [0.0, 0.0, 1.0 / c],
-            [-1.0 / d, -1.0 / d, -1.0 / d],
-        ])
-        weights = np.array(p.probs)
-        return (scores.T * weights) @ scores
-    raise PreconditionError(f"unknown mode {mode!r}")
+    _, grads, probs = _pullback(p, mode, "Fisher information")
+    return grads.T @ (grads / probs[:, None])
 
 
 def log_likelihood(counts: CountData, j) -> float:
@@ -257,38 +261,20 @@ def log_likelihood(counts: CountData, j) -> float:
 
 def log_likelihood_gradient(counts: CountData, p: JointPoint,
                             mode: str = "constrained") -> GradientResult:
+    """Score of the log likelihood: the cell score n/p pulled back, DJ^T (n/p)."""
     if counts.n == 0:
         raise EmptyData("no observations")
-    a, b, c, d = p.probs
-    n_a, n_b, n_c, n_d = counts.counts
-    if mode == "constrained":
-        if b != 0.0 or c != 0.0:
-            raise InfeasiblePoint("constrained likelihood needs b = c = 0")
-        if n_b or n_c:
-            raise DomainError("counts on zero-probability cells")
-        if a <= 0.0 or d <= 0.0:
-            raise DomainError("likelihood gradient needs a, d > 0")
-        comp = n_a / a - (counts.n - n_a) / (1.0 - a)
-        return GradientResult(kind="finite", components=(float(comp),),
-                              basis=((1.0, 0.0, 0.0),))
-    if mode == "unconstrained":
-        if min(p.probs) <= 0.0:
-            raise DomainError("likelihood gradient needs an interior point")
-        comps = (n_a / a - n_d / d, n_b / b - n_d / d, n_c / c - n_d / d)
-        return GradientResult(kind="finite",
-                              components=tuple(float(v) for v in comps))
-    raise PreconditionError(f"unknown mode {mode!r}")
+    J, grads, probs = _pullback(p, mode, "likelihood gradient")
+    return _finite(J, grads.T @ (_live_counts(counts, mode) / probs))
 
 
 def mle(counts: CountData, mode: str = "constrained") -> JointPoint:
     """Maximum-likelihood estimate: relative frequencies under both modes."""
-    if mode not in ("constrained", "unconstrained"):
-        raise PreconditionError(f"unknown mode {mode!r}")
+    _reading(mode, "maximum-likelihood estimate")
+    _live_counts(counts, mode)
     n = counts.n
     if n == 0:
         raise EmptyData("no observations")
-    if mode == "constrained" and (counts.n_b or counts.n_c):
-        raise DomainError("counts on zero-probability cells")
     return JointPoint(counts.n_a / n, counts.n_b / n, counts.n_c / n,
                       counts.n_d / n)
 
@@ -313,8 +299,10 @@ _INDEPENDENT_RELATIONS = (
 )
 
 FAMILIES = {
-    "correlated": (_CORRELATED_RELATIONS, CORRELATED_CONSTRAINTS),
-    "independent": (_INDEPENDENT_RELATIONS, INDEPENDENT_CONSTRAINTS),
+    "correlated": (_CORRELATED_RELATIONS, CORRELATED_CONSTRAINTS,
+                   CORRELATED_DIRECTION),
+    "independent": (_INDEPENDENT_RELATIONS, INDEPENDENT_CONSTRAINTS,
+                    INDEPENDENT_DIRECTION),
 }
 
 
@@ -325,12 +313,16 @@ def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
 
     Constrained mode returns zero vectors (the relations hold identically on
     the family manifold); limit mode returns the ambient gradients along the
-    approach, which stay nonzero or outright diverge.
+    approach (by default off the family), which stay nonzero or outright
+    diverge.  Unconstrained mode needs every cell positive.
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
-    relations, constraints = FAMILIES[family]
-    m = _mode_for(p, mode, direction, epsilons, constraints)
+    relations, constraints, approach = FAMILIES[family]
+    if mode == "unconstrained":
+        _pullback(p, mode, "relation gradient")
+    m = mode_named(mode, constraints,
+                   approach if direction is None else direction, epsilons)
     out = []
     for label, rel in relations:
         f = lambda x, rel=rel: float(rel(joint_from_free(x)))

@@ -21,12 +21,3 @@ class OptimumReport:
     value: float
     mode: str = ""
     diagnostics: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "point": list(self.point),
-            "value": self.value,
-            "mode": self.mode,
-            "diagnostics": dict(self.diagnostics),
-        }

@@ -16,12 +16,12 @@ representation, at perfectly-correlated and at independent points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import xlogy
 
-from .core import Constrained, ConstraintSet, GradientResult, Limit, gradient
+from .core import ConstraintSet, gradient, mode_named
 from .errors import DegenerateMarginal, OutOfRange, PreconditionError
 from .jointbinary import (
     JointPoint,
@@ -248,15 +248,7 @@ class Table1Report:
                  "parameters": list(c.parameters), "dimension": c.dimension}
                 for c in self.columns],
             "passed": self.passed,
-            "entries": [
-                {"row": e.row, "group": e.group, "column": e.column,
-                 "expected": e.expected, "dimension": e.dimension,
-                 "kinds": list(e.kinds),
-                 "components": (None if e.components is None
-                                else list(e.components)),
-                 "worst_error": e.worst_error, "evidence": e.evidence,
-                 "passed": e.passed}
-                for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -441,14 +433,12 @@ def sample_points(case: str, n: int, seed: int) -> list[dict]:
 
 def _evaluate_cell(row: RowSpec, col: ColumnSpec, expected, samples):
     rel = lambda z: float(row.relation(col.joint_of(z)))
+    # constrained columns are already reparameterized: nothing to substitute
+    mode = mode_named(col.kind, ConstraintSet.empty(), col.direction)
     kinds, components, worst, evidence = [], None, 0.0, math.inf
     passed = True
     for i, s in enumerate(samples):
-        z = col.point_of(s)
-        if col.kind == "limit":
-            res = gradient(rel, z, Limit(col.direction))
-        else:
-            res = gradient(rel, z, Constrained(ConstraintSet.empty()))
+        res = gradient(rel, col.point_of(s), mode)
         kinds.append(res.kind)
         if len(res) and len(res) != col.dimension:
             passed = False

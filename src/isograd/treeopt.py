@@ -404,12 +404,6 @@ class SweepResult:
     rows: tuple[OptimumReport, ...]
     best: OptimumReport | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "best": None if self.best is None else self.best.to_dict(),
-        }
-
 
 def sweep(rhos: Sequence[float] | None = None,
           grid: int = DEFAULT_GRID) -> SweepResult:

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import isograd
-from isograd.cli import OUT_OF_SCOPE, Report, RunConfig, main, render
-from isograd.errors import BadParams
+from isograd.cli import OUT_OF_SCOPE, Report, build_parser, main, render
 
 
 def run_cli(capsys, *argv):
@@ -25,26 +24,44 @@ def roundtrip(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-class TestRunConfig:
+class TestSettings:
     def test_defaults_are_valid(self):
-        config = RunConfig(command="dice")
-        assert config.format == "text"
-        assert config.precision == 6
-        assert config.grid == 401
+        ns = build_parser().parse_args(["tree-opt", "--sweep"])
+        assert ns.format == "text"
+        assert ns.precision == 6
+        assert ns.grid == 401
+        ns = build_parser().parse_args(["table1", "--case", "corr"])
+        assert (ns.samples, ns.seed) == (20, 42)
+        assert build_parser().parse_args(["gaussian-check"]).tol is None
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(BadParams):
-            RunConfig(command="dice", format="yaml")
+    def test_rejects_unknown_format(self, capsys):
+        code, out, err = run_cli(capsys, "dice", "--format", "yaml")
+        assert code == 2 and out == ""
+        assert "--format" in err
 
-    def test_rejects_bad_precision_seed_samples_tolerance(self):
-        with pytest.raises(BadParams):
-            RunConfig(command="dice", precision=0)
-        with pytest.raises(BadParams):
-            RunConfig(command="dice", seed=-1)
-        with pytest.raises(BadParams):
-            RunConfig(command="table1", samples=0)
-        with pytest.raises(BadParams):
-            RunConfig(command="gaussian-check", tolerance=-1.0)
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["gaussian-check", "--tol", value], "--tol",
+                     id=f"tol-{value}")
+        for value in ("nan", "inf", "0", "-1")
+    ] + [
+        pytest.param(["dice", "--precision", "0"], "--precision",
+                     id="precision-0"),
+        pytest.param(["table1", "--case", "corr", "--samples", "0"],
+                     "--samples", id="samples-0"),
+        pytest.param(["table1", "--case", "corr", "--seed", "-1"], "--seed",
+                     id="seed--1"),
+    ])
+    def test_rejects_bad_precision_seed_samples_tolerance(self, capsys, argv,
+                                                           flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    def test_non_numeric_setting_names_the_type(self, capsys):
+        code, out, err = run_cli(capsys, "dice", "--precision", "six")
+        assert code == 2 and out == ""
+        assert "argument --precision: invalid int value: 'six'" in err
 
 
 class TestExitCodes:
@@ -335,6 +352,37 @@ class TestJointOps:
                 np.testing.assert_allclose(row["gradient"]["components"],
                                            0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("fmt, row", [
+        ("text", ["E_xy", "constrained", "finite", "0", "0"]),
+        ("csv", ["E_xy", "constrained", "finite", "0", "0", ""]),
+    ])
+    def test_symmetric_pin_prints_an_unsigned_zero(self, capsys, fmt, row):
+        code, out, err = run_cli(capsys, "joint", "--op", "entropy-gradient",
+                                 "--point", "0.5,0,0,0.5", "--format", fmt)
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert (last.split() if fmt == "text" else last.split(",")) == row
+
+    def test_symmetric_pin_json_zero_is_unsigned(self, capsys):
+        code, out, err = run_cli(capsys, "joint", "--op", "entropy-gradient",
+                                 "--point", "0.5,0,0,0.5", "--format", "json")
+        assert code == 0 and "-0" not in out
+        (value,) = json.loads(out)["gradient"]["components"]
+        assert math.copysign(1.0, value) == 1.0
+
+    def test_fisher_has_no_limit_reading(self, capsys):
+        code, out, err = run_cli(capsys, "joint", "--op", "fisher",
+                                 "--mode", "limit", "--point", "0.5,0,0,0.5")
+        assert code == 2 and out == ""
+        assert "'limit'" in err
+
+    def test_unconstrained_relations_name_the_reading(self, capsys):
+        code, out, err = run_cli(capsys, "joint", "--op", "relations",
+                                 "--mode", "unconstrained",
+                                 "--point", "0.3,0,0,0.7")
+        assert code == 2 and out == ""
+        assert "unconstrained" in err and "not finite" not in err
+
     def test_unconstrained_fisher_is_three_by_three(self, capsys):
         code, out, err = run_cli(capsys, "joint", "--op", "fisher",
                                  "--mode", "unconstrained",
@@ -403,15 +451,13 @@ class TestRenderHelpers:
             rows=((None, True, 3, 0.25, (1.0, 2.0), "text"),),
             payload={"rows": []},
         )
-        config = RunConfig(command="dice", format="csv")
-        assert render(report, config).splitlines()[1] == \
+        assert render(report, "csv", 6).splitlines()[1] == \
             ",true,3,0.25,1;2,text"
 
     def test_json_rounds_floats_to_six_significant_digits(self):
         report = Report(title="probe", columns=("v",), rows=((1.0,),),
                         payload={"v": 1.0306749817, "w": [float("inf")]})
-        config = RunConfig(command="dice", format="json")
-        payload = json.loads(render(report, config))
+        payload = json.loads(render(report, "json"))
         assert payload["v"] == 1.03067
         assert payload["w"] == ["inf"]
 

@@ -7,6 +7,8 @@ import pytest
 
 from isograd.core import (
     ConstraintSet,
+    DEFAULT_LADDER,
+    MODES,
     Constrained,
     GradientResult,
     Limit,
@@ -16,6 +18,7 @@ from isograd.core import (
     entropy_of_free,
     finite_difference,
     gradient,
+    mode_named,
     resolve,
     simplex_volume,
 )
@@ -294,6 +297,35 @@ class TestLimitGradient:
                        Limit(self.DIVE_DIR))
         assert len(res.ladder) == 3
         assert res.max_ladder_magnitude > 1.0
+
+
+class TestModeNamed:
+    PIN = ConstraintSet.pin({0: 0.5})
+
+    def test_constrained_substitutes_the_constraints(self):
+        assert mode_named("constrained", self.PIN) == Constrained(self.PIN)
+
+    def test_unconstrained_substitutes_none(self):
+        mode = mode_named("unconstrained", self.PIN)
+        assert isinstance(mode, Constrained) and len(mode.constraints) == 0
+
+    def test_limit_approaches_along_the_direction(self):
+        mode = mode_named("limit", self.PIN, (0.0, 1.0))
+        assert mode == Limit((0.0, 1.0), DEFAULT_LADDER)
+        mode = mode_named("limit", self.PIN, (0.0, 1.0), (1e-2, 1e-3))
+        assert mode == Limit((0.0, 1.0), (1e-2, 1e-3))
+        with pytest.raises(PreconditionError, match="direction"):
+            mode_named("limit", self.PIN)
+
+    def test_every_name_is_known(self):
+        for name in MODES:
+            assert isinstance(mode_named(name, self.PIN, (1.0, 0.0)),
+                              (Constrained, Limit))
+
+    def test_unknown_name_lists_the_modes(self):
+        with pytest.raises(PreconditionError) as info:
+            mode_named("sideways", self.PIN, (1.0, 0.0))
+        assert all(name in str(info.value) for name in MODES)
 
 
 class TestEntropyStationarity:

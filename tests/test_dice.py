@@ -53,6 +53,12 @@ class TestSpaces:
             TRIANGLE.face_point(params)
 
 
+    def test_face_point_rejects_opposite_infinities(self):
+        # the two would meet in math.fsum, which raises a bare ValueError
+        with pytest.raises(NonFinite, match="inf"):
+            TRIANGLE.face_point([math.inf, -math.inf])
+
+
 class TestObjective:
     def test_coin_value(self):
         p = resolve((0.5, 0.5, 0.0, 0.0))

@@ -1,5 +1,6 @@
 """Tests for the two-stage game solvers and the coupling comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,6 @@ class TestGlobalComparison:
 
     def test_outcome_serialization(self):
         _, chosen = global_comparison()
-        payload = chosen.to_dict()
+        payload = dataclasses.asdict(chosen)
         assert payload == {"label": "rho=+1", "kind": "pure",
-                           "strategy": [1.0, 1.0], "payoffs": [4.0, 3.0]}
+                           "strategy": (1.0, 1.0), "payoffs": (4.0, 3.0)}

@@ -192,6 +192,62 @@ class TestEntropyGradient:
             entropy_gradient(JointPoint(0.3, 0.0, 0.0, 0.7), "sideways")
 
 
+class TestPullback:
+    """The finite readings against their closed forms and bases."""
+
+    def test_unconstrained_entropy_gradient_and_score_use_identity_basis(self):
+        p = JointPoint(0.4, 0.1, 0.2, 0.3)
+        for res in (entropy_gradient(p, "unconstrained"),
+                    log_likelihood_gradient(CountData(1, 2, 3, 4), p,
+                                            "unconstrained")):
+            assert res.basis == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                 (0.0, 0.0, 1.0))
+
+    def test_readings_match_closed_forms(self):
+        rng = np.random.default_rng(7)
+        counts = CountData(3, 5, 2, 7)
+        for _ in range(50):
+            a = rng.uniform(0.01, 0.99)
+            pin = JointPoint(a, 0.0, 0.0, 1.0 - a)
+            d = pin.d
+            np.testing.assert_allclose(
+                entropy_gradient(pin, "constrained").components,
+                [math.log(d / a)], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                fisher_information(pin, "constrained"), [[1 / a + 1 / d]],
+                rtol=1e-12)
+            np.testing.assert_allclose(
+                log_likelihood_gradient(CountData(4, 0, 0, 9), pin,
+                                        "constrained").components,
+                [4 / a - 9 / d], rtol=1e-12, atol=1e-12)
+            p = JointPoint(*(0.9 * rng.dirichlet(np.ones(4)) + 0.025))
+            cells, d = np.array(p.probs[:3]), p.d
+            np.testing.assert_allclose(
+                entropy_gradient(p, "unconstrained").components,
+                [math.log(d / v) for v in cells], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                fisher_information(p, "unconstrained"),
+                np.diag(1 / cells) + 1 / d, rtol=1e-12)
+            np.testing.assert_allclose(
+                log_likelihood_gradient(counts, p, "unconstrained").components,
+                np.array(counts.counts[:3]) / cells - counts.n_d / d,
+                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("statistic", [
+        lambda p: fisher_information(p, "limit"),
+        lambda p: log_likelihood_gradient(CountData(5, 0, 0, 5), p, "limit"),
+        lambda p: mle(CountData(5, 0, 0, 5), "limit"),
+    ])
+    def test_limit_has_no_finite_reading(self, statistic):
+        with pytest.raises(PreconditionError, match="'limit'"):
+            statistic(JointPoint(0.5, 0.0, 0.0, 0.5))
+
+    def test_unconstrained_relations_need_an_interior_point(self):
+        with pytest.raises(DomainError, match="unconstrained"):
+            relation_suite(JointPoint(0.3, 0.0, 0.0, 0.7), "correlated",
+                           "unconstrained")
+
+
 class TestFisherInformation:
     def test_constrained_values(self):
         np.testing.assert_allclose(

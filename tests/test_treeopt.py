@@ -1,5 +1,6 @@
 """Tests for the correlation-slice geometry and tree-payoff optimizers."""
 
+import dataclasses
 import math
 import re
 
@@ -474,6 +475,6 @@ class TestSweep:
 
     def test_to_dict_round_trip(self):
         result = treeopt.sweep([0.0, -1.0])
-        payload = result.to_dict()
+        payload = dataclasses.asdict(result)
         assert [row["label"] for row in payload["rows"]] == ["rho=+0", "rho=-1"]
         assert payload["best"]["value"] == pytest.approx(3.0)
