@@ -186,24 +186,21 @@ def _gradient_payload(result) -> dict[str, Any]:
 
 
 def _cmd_dice(ns: argparse.Namespace) -> Report:
-    rows = []
-    payload: dict[str, Any] = {"per_space": [], "constrained_target": []}
-    for rep in dice.maximize_per_space():
-        rows.append(("per-space", rep.label, rep.value, rep.point))
-        payload["per_space"].append(asdict(rep))
-    for rep in dice.maximize_constrained_target():
-        rows.append(("constrained-target", rep.label, rep.value, rep.point))
-        payload["constrained_target"].append(asdict(rep))
-    rep = dice.maximize_unconstrained()
-    rows.append(("unconstrained", rep.label, rep.value, rep.point))
-    payload["unconstrained"] = asdict(rep)
-    conflicts = bool(rep.diagnostics["conflicts_with_constrained"])
-    payload["unconstrained_conflicts_with_per_space"] = conflicts
+    per_space = dice.maximize_per_space()
+    constrained = dice.maximize_constrained_target()
+    square = next(r for r in constrained if r.label == dice.SQUARE.label)
+    unconstrained = dice.unconstrained_report(square, per_space)
+    conflicts = bool(unconstrained.diagnostics["conflicts_with_constrained"])
     return Report(
         title="die-rolling payoff V^2 * E under three optimization readings",
         columns=("method", "space", "value", "point"),
-        rows=tuple(rows),
-        payload=payload,
+        # each report's mode names its method
+        rows=tuple((r.mode, r.label, r.value, r.point)
+                   for r in per_space + constrained + [unconstrained]),
+        payload={"per_space": [asdict(r) for r in per_space],
+                 "constrained_target": [asdict(r) for r in constrained],
+                 "unconstrained": asdict(unconstrained),
+                 "unconstrained_conflicts_with_per_space": conflicts},
         footer=(f"unconstrained optimum conflicts with the per-space "
                 f"winners: {'true' if conflicts else 'false'}",),
     )

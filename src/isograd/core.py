@@ -16,6 +16,9 @@ Two distinct differentiation rules are implemented:
 
 The two rules agree on unconstrained interiors and disagree exactly where the
 case studies in the rest of the package say they should.
+
+The shared formulas live here once: ``xlogx`` for every entropy, the null
+space of a constraint Jacobian, and the central-difference loop.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.special import xlogy
 
 from .errors import (
     BadDimension,
@@ -45,6 +46,13 @@ FEASIBILITY_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 FD_STEP = 1e-6
 DEFAULT_LADDER = (1e-3, 1e-4, 1e-5)
+# ladder classification: successive rungs agree within LADDER_RTOL relative
+# (plus LADDER_ATOL), decay when each difference is at most LADDER_DECAY of
+# the one before, and diverge when each norm grows by more than GROWTH_MARGIN
+LADDER_RTOL = 1e-4
+LADDER_ATOL = 1e-9
+LADDER_DECAY = 0.5
+GROWTH_MARGIN = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +108,7 @@ class ProbVector:
 def require_finite(values: Sequence[float]) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise NonFinite(f"probability {v!r} is not finite")
+            raise NonFinite(f"{v!r} is not finite")
 
 
 def resolve(point: Sequence[float]) -> ProbVector:
@@ -157,11 +165,11 @@ class ConstraintSet:
             return 0.0
         return max(abs(float(g(x)) - t) for g, t in self.equalities)
 
-    def satisfied(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.max_violation(x) <= tol
+    def satisfied(self, x: np.ndarray) -> bool:
+        return self.max_violation(x) <= FEASIBILITY_TOL
 
-    def jacobian(self, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-        rows = [finite_difference(g, x, h=h) for g, _ in self.equalities]
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        rows = [finite_difference(g, x) for g, _ in self.equalities]
         return np.asarray(rows, dtype=float).reshape(len(self.equalities), len(x))
 
 
@@ -185,6 +193,8 @@ class Limit:
     epsilons: tuple[float, ...] = DEFAULT_LADDER
 
     def __post_init__(self):
+        require_finite(self.direction)
+        require_finite(self.epsilons)
         d = np.asarray(self.direction, dtype=float)
         if d.size == 0 or abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
@@ -201,13 +211,13 @@ GradientMode = Union[Constrained, Limit]
 MODES = ("constrained", "unconstrained", "limit")
 
 
-def mode_named(name: str, constraints: ConstraintSet, direction=None,
-               epsilons=None) -> GradientMode:
+def mode_named(name: str, constraints: ConstraintSet,
+               direction=None) -> GradientMode:
     """The gradient mode a name stands for.
 
     ``constrained`` substitutes ``constraints``; ``unconstrained``
-    substitutes none; ``limit`` approaches along ``direction`` down the
-    ``epsilons`` ladder (default :data:`DEFAULT_LADDER`).
+    substitutes none; ``limit`` approaches along ``direction`` down
+    :data:`DEFAULT_LADDER`.
     """
     if name == "constrained":
         return Constrained(constraints)
@@ -216,8 +226,7 @@ def mode_named(name: str, constraints: ConstraintSet, direction=None,
     if name == "limit":
         if direction is None:
             raise PreconditionError("limit mode needs an approach direction")
-        return Limit(tuple(direction), DEFAULT_LADDER if epsilons is None
-                     else tuple(epsilons))
+        return Limit(tuple(direction))
     raise PreconditionError(f"unknown mode {name!r}; one of {MODES}")
 
 
@@ -235,7 +244,6 @@ class GradientResult:
     components: tuple[float, ...] | None = None
     blowup_direction: tuple[float, ...] | None = None
     ladder: tuple[tuple[float, ...], ...] | None = None
-    epsilons: tuple[float, ...] | None = None
     basis: tuple[tuple[float, ...], ...] | None = None
 
     @property
@@ -260,6 +268,13 @@ class GradientResult:
     def __len__(self) -> int:
         return len(self.components) if self.components is not None else 0
 
+    @staticmethod
+    def finite(components, basis: np.ndarray) -> "GradientResult":
+        """A finite result over the tangent basis whose columns are ``basis``."""
+        return GradientResult(
+            kind="finite", components=tuple(float(v) for v in components),
+            basis=tuple(tuple(float(v) for v in col) for col in basis.T))
+
 
 # ---------------------------------------------------------------------------
 # differentiation primitives
@@ -281,20 +296,22 @@ def _free_coords(at) -> np.ndarray:
     return np.asarray(at, dtype=float)
 
 
+def _central(f: Callable[[np.ndarray], float], x: np.ndarray,
+             steps: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``f`` at ``x`` along each row of ``steps``."""
+    return np.array([(_eval(f, x + s) - _eval(f, x - s)) / (2.0 * h)
+                     for s in steps], dtype=float)
+
+
 def finite_difference(f: Callable[[np.ndarray], float], at,
                       h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient over the free coordinates."""
     x = _free_coords(at)
-    g = np.empty(x.size, dtype=float)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        g[i] = (_eval(f, x + step) - _eval(f, x - step)) / (2.0 * h)
-    return g
+    return _central(f, x, h * np.eye(x.size), h)
 
 
 def directed_gradient(f: Callable[[np.ndarray], float], at,
-                      direction: Sequence[float], h: float = FD_STEP) -> float:
+                      direction: Sequence[float]) -> float:
     """Dot product of the ambient gradient with a unit direction.
 
     Computed as a central difference along the direction itself, so it exists
@@ -308,7 +325,15 @@ def directed_gradient(f: Callable[[np.ndarray], float], at,
             f"direction has {d.size} components, expected {x.size}")
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
         raise PreconditionError("direction must be a unit vector (|d| = 1)")
-    return (_eval(f, x + h * d) - _eval(f, x - h * d)) / (2.0 * h)
+    return float(_central(f, x, (FD_STEP * d,), FD_STEP)[0])
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of ``a`` as columns; singular values up
+    to max(s) * eps * max(M, N) count as zero (SciPy's rank rule)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return vh[int(np.sum(s > tol)):].T
 
 
 def _canonical_tangent_basis(jac: np.ndarray, dim: int) -> np.ndarray:
@@ -320,7 +345,7 @@ def _canonical_tangent_basis(jac: np.ndarray, dim: int) -> np.ndarray:
     """
     if jac.shape[0] == 0:
         return np.eye(dim)
-    basis = null_space(jac)
+    basis = _null_space(jac)
     if basis.shape[1] == 0:
         return basis
     cols = []
@@ -334,27 +359,27 @@ def _canonical_tangent_basis(jac: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([v for _, v in cols])
 
 
-def _classify_ladder(grads: list[np.ndarray], rtol: float, atol: float,
-                     decay: float, growth_margin: float):
+def _classify_ladder(grads: list[np.ndarray]):
     """Trend classification of a ladder of gradient evaluations.
 
-    Finite when successive evaluations already agree within rtol, or when the
-    successive differences decay geometrically (a Cauchy trend; the returned
-    vector is then the linear-in-epsilon extrapolated limit).  Diverging when
-    the norms grow monotonically instead.  Undefined otherwise.
+    Finite when successive evaluations already agree, or when the successive
+    differences decay geometrically (a Cauchy trend; the returned vector is
+    then the linear-in-epsilon extrapolated limit).  Diverging when the norms
+    grow monotonically instead.  Undefined otherwise.
     """
     norms = [float(np.linalg.norm(g)) for g in grads]
     diffs = [float(np.linalg.norm(grads[i + 1] - grads[i]))
              for i in range(len(grads) - 1)]
-    agree = all(d <= rtol * max(norms[i], norms[i + 1]) + atol
+    agree = all(d <= LADDER_RTOL * max(norms[i], norms[i + 1]) + LADDER_ATOL
                 for i, d in enumerate(diffs))
     if agree:
         return "finite"
     decaying = len(diffs) >= 2 and all(
-        diffs[i + 1] <= decay * diffs[i] + atol for i in range(len(diffs) - 1))
+        diffs[i + 1] <= LADDER_DECAY * diffs[i] + LADDER_ATOL
+        for i in range(len(diffs) - 1))
     if decaying:
         return "finite"
-    growing = all(norms[i + 1] > norms[i] * (1.0 + growth_margin)
+    growing = all(norms[i + 1] > norms[i] * (1.0 + GROWTH_MARGIN)
                   for i in range(len(norms) - 1))
     if growing:
         return "diverging"
@@ -367,9 +392,8 @@ def _extrapolate(g_prev: np.ndarray, g_last: np.ndarray,
     return g_last + (g_last - g_prev) * (e_last / (e_prev - e_last))
 
 
-def gradient(f: Callable[[np.ndarray], float], at, mode: GradientMode,
-             h: float = FD_STEP, rtol: float = 1e-4, atol: float = 1e-9,
-             decay: float = 0.5, growth_margin: float = 0.05) -> GradientResult:
+def gradient(f: Callable[[np.ndarray], float], at,
+             mode: GradientMode) -> GradientResult:
     """Gradient of ``f`` at ``at`` under the requested semantics."""
     x = _free_coords(at)
 
@@ -378,18 +402,9 @@ def gradient(f: Callable[[np.ndarray], float], at, mode: GradientMode,
         if not cs.satisfied(x):
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
-        basis = _canonical_tangent_basis(cs.jacobian(x, h=h), x.size)
-        comps = np.array([
-            (_eval(f, x + h * basis[:, j]) - _eval(f, x - h * basis[:, j]))
-            / (2.0 * h)
-            for j in range(basis.shape[1])
-        ])
-        return GradientResult(
-            kind="finite",
-            components=tuple(float(c) for c in comps),
-            basis=tuple(tuple(float(v) for v in basis[:, j])
-                        for j in range(basis.shape[1])),
-        )
+        basis = _canonical_tangent_basis(cs.jacobian(x), x.size)
+        comps = _central(f, x, FD_STEP * basis.T, FD_STEP)
+        return GradientResult.finite(comps, basis)
 
     if isinstance(mode, Limit):
         d = np.asarray(mode.direction, dtype=float)
@@ -404,24 +419,23 @@ def gradient(f: Callable[[np.ndarray], float], at, mode: GradientMode,
                         f"at + {eps:g}*direction is not interior to the simplex")
         # the probe step must shrink with the rung, or the smallest rungs of a
         # shrunk ladder would poke through the simplex boundary
-        grads = [finite_difference(f, x + eps * d, h=min(h, eps / 20.0))
+        grads = [finite_difference(f, x + eps * d, h=min(FD_STEP, eps / 20.0))
                  for eps in mode.epsilons]
         ladder = tuple(tuple(float(v) for v in g) for g in grads)
-        kind = _classify_ladder(grads, rtol, atol, decay, growth_margin)
+        kind = _classify_ladder(grads)
         if kind == "finite":
             lim = _extrapolate(grads[-2], grads[-1],
                                mode.epsilons[-2], mode.epsilons[-1])
             return GradientResult(kind="finite",
                                   components=tuple(float(v) for v in lim),
-                                  ladder=ladder, epsilons=tuple(mode.epsilons))
+                                  ladder=ladder)
         if kind == "diverging":
             tail = grads[-1]
             nrm = float(np.linalg.norm(tail))
             direction = tuple(float(v) for v in (tail / nrm)) if nrm > 0 else None
             return GradientResult(kind="diverging", blowup_direction=direction,
-                                  ladder=ladder, epsilons=tuple(mode.epsilons))
-        return GradientResult(kind="undefined", ladder=ladder,
-                              epsilons=tuple(mode.epsilons))
+                                  ladder=ladder)
+        return GradientResult(kind="undefined", ladder=ladder)
 
     raise PreconditionError(f"unknown gradient mode: {mode!r}")
 
@@ -437,16 +451,35 @@ def simplex_volume(n: int) -> float:
     return 1.0 / math.factorial(n - 1)
 
 
+def xlogx(v: float) -> float:
+    """v log v with 0 log 0 = 0 and NaN below 0.
+
+    libm's log keeps it bitwise equal to xlogy(v, v), which the dice lattice
+    needs; numpy's vectorized log is not.
+    """
+    if v > 0.0:
+        return v * math.log(v)
+    return 0.0 if v == 0.0 else math.nan
+
+
+def entropy_of_cells(cells) -> float:
+    """-sum c log c summed in order (as numpy sums up to 7 terms); NaN if a
+    cell is negative."""
+    total = 0.0
+    for v in cells:
+        total += xlogx(v)
+    return -float(total)
+
+
 def entropy(p) -> float:
     """Shannon entropy -sum p_i log p_i (natural log, 0 log 0 = 0)."""
-    probs = np.asarray(p.probs if isinstance(p, ProbVector) else p, dtype=float)
-    if np.any(probs < 0.0):
+    probs = p.probs if isinstance(p, ProbVector) else p
+    if any(v < 0.0 for v in probs):
         raise OutOfRange("entropy of negative probabilities")
-    return float(-xlogy(probs, probs).sum())
+    return entropy_of_cells(probs)
 
 
 def entropy_of_free(free: np.ndarray) -> float:
     """Entropy as a function of free coordinates (last coordinate resolved)."""
     free = np.asarray(free, dtype=float)
-    rest = 1.0 - free.sum()
-    return float(-(xlogy(free, free).sum() + xlogy(rest, rest)))
+    return entropy_of_cells((*free, 1.0 - free.sum()))

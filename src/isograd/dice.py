@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
-from .core import (ConstraintSet, ProbVector, entropy, require_finite,
-                   resolve, simplex_volume)
+from .core import (ConstraintSet, ProbVector, entropy, entropy_of_free,
+                   require_finite, resolve, simplex_volume, xlogx)
 from .errors import BadDimension, InfeasiblePoint
 from .reports import OptimumReport
 
-DEFAULT_RESOLUTION = 200
+#: Grid points per unit of each face coordinate in method 2's search.
+GRID_RESOLUTION = 200
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def _entropy_on_grid(sides: int, resolution: int):
     coordinates; ties resolve to the lexicographically smallest composition.
     """
     n = resolution
-    g = np.arange(n + 1) / n
-    table = -xlogy(g, g)
+    table = np.array([-xlogx(k / n) for k in range(n + 1)])
     # scores are compared on a 2**-40 lattice, where sums are exact: float
     # sums depend on the order of their terms, so permutations of one
     # composition would not tie
@@ -130,10 +129,9 @@ def _entropy_on_grid(sides: int, resolution: int):
 
 
 def _entropy_of_params(params: np.ndarray) -> float:
-    vals = np.append(params, 1.0 - params.sum())
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
+    if np.any(params < 0.0) or params.sum() > 1.0:
         return -np.inf
-    return float(-xlogy(vals, vals).sum())
+    return entropy_of_free(params)
 
 
 def _polish(params, value):
@@ -161,46 +159,42 @@ def maximize_per_space() -> list[OptimumReport]:
     return reports
 
 
-def maximize_constrained_target(resolution: int = DEFAULT_RESOLUTION
-                                ) -> list[OptimumReport]:
+def _face_optimum(space: DieSpace) -> OptimumReport:
+    """Grid + refinement on one embedded face of the 4-space."""
+    params, ent = _entropy_on_grid(space.sides, GRID_RESOLUTION)
+    params, ent, iters = _polish(params, ent)
+    return OptimumReport(
+        label=space.label,
+        point=space.face_point(params).probs,
+        value=space.volume ** 2 * ent,
+        mode="constrained-target",
+        diagnostics={"grid_resolution": GRID_RESOLUTION,
+                     "refinement_iterations": iters},
+    )
+
+
+def maximize_constrained_target() -> list[OptimumReport]:
     """Method 2: grid + refinement on each embedded face of the 4-space."""
-    reports = []
-    for space in ALL_SPACES:
-        params, ent = _entropy_on_grid(space.sides, resolution)
-        params, ent, iters = _polish(params, ent)
-        point = space.face_point(params)
-        reports.append(OptimumReport(
-            label=space.label,
-            point=point.probs,
-            value=space.volume ** 2 * ent,
-            mode="constrained-target",
-            diagnostics={"grid_resolution": resolution,
-                         "refinement_iterations": iters},
-        ))
-    return reports
+    return [_face_optimum(space) for space in ALL_SPACES]
 
 
-def maximize_unconstrained(resolution: int = DEFAULT_RESOLUTION) -> OptimumReport:
+def unconstrained_report(square: OptimumReport,
+                         per_space: list[OptimumReport]) -> OptimumReport:
+    """Method 3 read off method 2's Square report: the Square face has no
+    embedding constraint, so its optimum is the unconstrained one."""
+    best = max(per_space, key=lambda r: r.value)
+    diagnostics = {**square.diagnostics,
+                   "conflicts_with_constrained": square.value < best.value,
+                   "best_constrained_label": best.label,
+                   "best_constrained_value": best.value}
+    return replace(square, label="unconstrained", mode="unconstrained",
+                   diagnostics=diagnostics)
+
+
+def maximize_unconstrained() -> OptimumReport:
     """Method 3: drop the embedding constraints on the 4-outcome simplex.
 
     The optimum is the uniform 4-outcome point with payoff log(4)/36, which
     conflicts with (is far below) the per-die winners of methods 1 and 2.
     """
-    params, ent = _entropy_on_grid(4, resolution)
-    params, ent, iters = _polish(params, ent)
-    point = SQUARE.face_point(params)
-    value = SQUARE.volume ** 2 * ent
-    best_constrained = max(maximize_per_space(), key=lambda r: r.value)
-    return OptimumReport(
-        label="unconstrained",
-        point=point.probs,
-        value=value,
-        mode="unconstrained",
-        diagnostics={
-            "grid_resolution": resolution,
-            "refinement_iterations": iters,
-            "conflicts_with_constrained": value < best_constrained.value,
-            "best_constrained_label": best_constrained.label,
-            "best_constrained_value": best_constrained.value,
-        },
-    )
+    return unconstrained_report(_face_optimum(SQUARE), maximize_per_space())

@@ -22,10 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSet, GradientResult, gradient, mode_named
+from .core import (ConstraintSet, GradientResult, gradient, mode_named,
+                   require_finite)
 from .errors import BadParams, InfeasiblePoint, PreconditionError
 
 TWO_PI = 2.0 * math.pi
+#: Gauss-Legendre nodes per axis; the box spans mu +- QUADRATURE_SPAN * sigma.
+QUADRATURE_NODES = 64
+QUADRATURE_SPAN = 8.0
 
 POINTWISE_VARS = ("x", "y", "mu_x", "mu_y", "sigma_x", "sigma_y", "rho")
 EXPECTATION_VARS = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho")
@@ -42,6 +46,7 @@ class NormalParams:
     rho: float = 0.0
 
     def __post_init__(self):
+        require_finite(vars(self).values())
         if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
             raise BadParams(
                 f"standard deviations must be positive: "
@@ -92,7 +97,7 @@ def conditioned_mean_x(params: NormalParams, y: float) -> float:
 
 def conditional_pdf_x_given_y(params: NormalParams, x, y):
     """Density of x given y: normal with shifted mean, shrunken variance."""
-    sigma = params.sigma_x * math.sqrt(1.0 - params.rho ** 2)
+    sigma = params.sigma_x * math.sqrt(1.0 - params.rho * params.rho)
     return _normal(x, conditioned_mean_x(params, y), sigma)
 
 
@@ -109,12 +114,11 @@ def closed_moments(params: NormalParams) -> dict[str, float]:
     }
 
 
-def quadrature_expectation(params: NormalParams, f, nodes: int = 64,
-                           span: float = 8.0) -> float:
-    """E[f(x, y)] by a tensor Gauss-Legendre rule over [mu +- span*sigma]."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    half_x = span * params.sigma_x
-    half_y = span * params.sigma_y
+def quadrature_expectation(params: NormalParams, f) -> float:
+    """E[f(x, y)] by a tensor Gauss-Legendre rule over the quadrature box."""
+    t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    half_x = QUADRATURE_SPAN * params.sigma_x
+    half_y = QUADRATURE_SPAN * params.sigma_y
     xs = params.mu_x + half_x * t
     ys = params.mu_y + half_y * t
     wx = w * half_x
@@ -124,27 +128,24 @@ def quadrature_expectation(params: NormalParams, f, nodes: int = 64,
     return float(wx @ vals @ wy)
 
 
-def pdf_integral(params: NormalParams, nodes: int = 64,
-                 span: float = 8.0) -> float:
+def pdf_integral(params: NormalParams) -> float:
     """Total mass of the joint density over the quadrature box."""
-    return quadrature_expectation(params, lambda x, y: np.ones_like(x),
-                                  nodes=nodes, span=span)
+    return quadrature_expectation(params, lambda x, y: np.ones_like(x))
 
 
 # ---------------------------------------------------------------------------
 # gradient relations
 
 def _pointwise_joint_minus_product(z) -> float:
-    x, y, mx, my, sx, sy, r = (float(v) for v in z)
-    return float(_joint(x, y, mx, my, sx, sy, r)
-                 - _normal(x, mx, sx) * _normal(y, my, sy))
+    x, y, *params = (float(v) for v in z)
+    p = NormalParams(*params)
+    return float(joint_pdf(p, x, y) - marginal_pdf_x(p, x) * marginal_pdf_y(p, y))
 
 
 def _pointwise_conditional_minus_marginal(z) -> float:
-    x, y, mx, my, sx, sy, r = (float(v) for v in z)
-    mean = mx + r * (sx / sy) * (y - my)
-    sigma = sx * math.sqrt(1.0 - r * r)
-    return float(_normal(x, mean, sigma) - _normal(x, mx, sx))
+    x, y, *params = (float(v) for v in z)
+    p = NormalParams(*params)
+    return float(conditional_pdf_x_given_y(p, x, y) - marginal_pdf_x(p, x))
 
 
 def _expectation_covariance(z) -> float:
@@ -183,8 +184,7 @@ def _lookup(relation: str):
 
 
 def relation_gradients(params: NormalParams, relation: str,
-                       mode: str = "constrained", probe=None,
-                       epsilons=None) -> GradientResult:
+                       mode: str = "constrained", probe=None) -> GradientResult:
     """Gradient of one factorization relation under the chosen semantics.
 
     The point of evaluation always has rho = 0; limit mode supplies the
@@ -208,8 +208,7 @@ def relation_gradients(params: NormalParams, relation: str,
     direction = np.zeros(z.size)
     direction[rho_index] = 1.0
     return gradient(fn, z, mode_named(
-        mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction,
-        epsilons))
+        mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
 
 
 def rho_component(result: GradientResult) -> float:
@@ -241,19 +240,18 @@ class RelationCheck:
     passed: bool
 
 
-def check_suite(params: NormalParams = DEFAULT_PARAMS, probes=None,
+def check_suite(params: NormalParams = DEFAULT_PARAMS,
                 tol: float | None = None) -> list[RelationCheck]:
     """Exercise every relation under both semantics; one row per pair.
 
-    A constrained row passes when its worst gradient norm is below ``tol``
-    (default 1e-6); a limit row when every rho-component is within ``tol``
-    (default 1e-4) of the closed form and the largest exceeds 1e-3.
+    Pointwise relations are probed on :func:`probe_grid`.  A constrained row
+    passes when its worst gradient norm is below ``tol`` (default 1e-6); a
+    limit row when every rho-component is within ``tol`` (default 1e-4) of
+    the closed form and the largest exceeds 1e-3.
     """
-    if probes is None:
-        probes = probe_grid(params)
     rows = []
     for relation, (kind, _) in RELATIONS.items():
-        probe_list = probes if kind == "pointwise" else [None]
+        probe_list = probe_grid(params) if kind == "pointwise" else [None]
         worst = 0.0
         for probe in probe_list:
             res = relation_gradients(params, relation, "constrained", probe)

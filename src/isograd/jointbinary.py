@@ -15,7 +15,7 @@ simplex (``unconstrained``).  Each reading is a tangent basis J over
 through J of its per-cell form (Amari & Nagaoka, *Methods of Information
 Geometry*, 2000).  The ``limit`` reading approaches the point from the
 ambient simplex instead, and the relation suite shows where the readings
-disagree.
+disagree.  Entropies are core's cell entropy of the joint or of a marginal.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (
     ConstraintSet,
     GradientResult,
     ProbVector,
+    entropy_of_cells,
     gradient,
     mode_named,
     resolve,
@@ -124,28 +124,23 @@ def var_y(j) -> float:
     return float((j[1] + j[3]) * (j[0] + j[2]))
 
 
-def entropy_xy(j) -> float:
-    j = np.asarray(j, dtype=float)
-    return float(-xlogy(j, j).sum())
+entropy_xy = entropy_of_cells
 
 
 def entropy_x(j) -> float:
-    p0 = j[0] + j[1]
-    p1 = j[2] + j[3]
-    return float(-(xlogy(p0, p0) + xlogy(p1, p1)))
+    return entropy_of_cells((j[0] + j[1], j[2] + j[3]))
 
 
 def entropy_y(j) -> float:
-    p0 = j[0] + j[2]
-    p1 = j[1] + j[3]
-    return float(-(xlogy(p0, p0) + xlogy(p1, p1)))
+    return entropy_of_cells((j[0] + j[2], j[1] + j[3]))
 
 
 def conditional_x0_given_y(j, y: int) -> float:
     """P(x = 0 | y) from the joint 4-vector."""
+    # Python floats: an empty condition raises ZeroDivisionError, not a warning
     if y == 0:
-        return float(j[0] / (j[0] + j[2]))
-    return float(j[1] / (j[1] + j[3]))
+        return float(j[0]) / float(j[0] + j[2])
+    return float(j[1]) / float(j[1] + j[3])
 
 
 def correlation_of_joint(j) -> float:
@@ -211,14 +206,8 @@ def _live_counts(counts: CountData, mode: str) -> np.ndarray:
     return n[live]
 
 
-def _finite(J: np.ndarray, components: np.ndarray) -> GradientResult:
-    return GradientResult(
-        kind="finite", components=tuple(float(v) for v in components),
-        basis=tuple(tuple(float(v) for v in col) for col in J.T))
-
-
 def entropy_gradient(p: JointPoint, mode: str = "constrained",
-                     direction=None, epsilons=None) -> GradientResult:
+                     direction=None) -> GradientResult:
     """Gradient of the joint entropy E_xy under the chosen semantics.
 
     A finite reading pulls the cell gradient -log p back: DJ^T (-log p),
@@ -230,11 +219,11 @@ def entropy_gradient(p: JointPoint, mode: str = "constrained",
     if mode in _READINGS:
         J, grads, probs = _pullback(p, mode, "entropy gradient")
         # the form -(grads.T @ log p) would print the symmetric pin as -0
-        return _finite(J, grads.T @ -np.log(probs))
+        return GradientResult.finite(grads.T @ -np.log(probs), J)
     f = lambda x: entropy_xy(joint_from_free(x))
     return gradient(f, p.pv, mode_named(
         mode, CORRELATED_CONSTRAINTS,
-        CORRELATED_DIRECTION if direction is None else direction, epsilons))
+        CORRELATED_DIRECTION if direction is None else direction))
 
 
 def fisher_information(p: JointPoint, mode: str = "constrained") -> np.ndarray:
@@ -265,7 +254,8 @@ def log_likelihood_gradient(counts: CountData, p: JointPoint,
     if counts.n == 0:
         raise EmptyData("no observations")
     J, grads, probs = _pullback(p, mode, "likelihood gradient")
-    return _finite(J, grads.T @ (_live_counts(counts, mode) / probs))
+    score = _live_counts(counts, mode) / probs
+    return GradientResult.finite(grads.T @ score, J)
 
 
 def mle(counts: CountData, mode: str = "constrained") -> JointPoint:
@@ -307,8 +297,7 @@ FAMILIES = {
 
 
 def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
-                   direction=None, epsilons=None
-                   ) -> list[tuple[str, GradientResult]]:
+                   direction=None) -> list[tuple[str, GradientResult]]:
     """Gradients of every family relation at ``p`` under one semantics.
 
     Constrained mode returns zero vectors (the relations hold identically on
@@ -322,7 +311,7 @@ def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
     if mode == "unconstrained":
         _pullback(p, mode, "relation gradient")
     m = mode_named(mode, constraints,
-                   approach if direction is None else direction, epsilons)
+                   approach if direction is None else direction)
     out = []
     for label, rel in relations:
         f = lambda x, rel=rel: float(rel(joint_from_free(x)))

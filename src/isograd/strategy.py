@@ -5,7 +5,8 @@ to one of four pure reaction plans (mixed representation, weights beta0..beta3
 over the plans (y|x=0, y|x=1) = (0,0), (0,1), (1,0), (1,1)) or plays the
 branch probabilities directly (behavioural representation: q = P(y=1|x=0),
 r = P(y=1|x=1)).  Both induce the same joint distribution on the 4-outcome
-space via p = alpha1, q = beta2+beta3, r = beta1+beta3.
+space via p = alpha1, q = beta2+beta3, r = beta1+beta3, and a point's
+moments, entropies and correlation are jointbinary's statistics of that joint.
 
 The comparison table evaluates a battery of distributional relations in four
 ways: ambient gradients approached down an epsilon ladder in each
@@ -19,10 +20,9 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import ConstraintSet, gradient, mode_named
-from .errors import DegenerateMarginal, OutOfRange, PreconditionError
+from .errors import OutOfRange, PreconditionError
 from .jointbinary import (
     JointPoint,
     conditional_x0_given_y,
@@ -136,49 +136,36 @@ def behavioural_from_mixed(m: MixedPoint) -> BehaviouralPoint:
 
 
 # ---------------------------------------------------------------------------
-# closed-form statistics in each parameterization
+# statistics of the joint a point induces
 
 def moments(point) -> dict[str, float]:
-    """Means, variances, and entropies straight from the parameters."""
+    """Means, variances and entropies of the joint the point induces."""
     if isinstance(point, MixedPoint):
-        a1, b1, b2, b3 = point.as_array()
-        p, q, r = a1, b2 + b3, b1 + b3
+        j = mixed_joint_array(point.as_array())
     elif isinstance(point, BehaviouralPoint):
-        p, q, r = point.as_array()
+        j = behavioural_joint_array(point.as_array())
     else:
         raise PreconditionError(f"unsupported point type {type(point)!r}")
-    y_bar = q + p * (r - q)
-    cells = behavioural_joint_array((p, q, r))
     return {
-        "<x>": p,
-        "<y>": y_bar,
-        "<xy>": p * r,
-        "V(x)": p * (1.0 - p),
-        "V(y)": y_bar * (1.0 - y_bar),
-        "E_x": float(-xlogy(1.0 - p, 1.0 - p) - xlogy(p, p)),
-        "E_y": float(-xlogy(1.0 - y_bar, 1.0 - y_bar) - xlogy(y_bar, y_bar)),
-        "E_xy": float(-xlogy(cells, cells).sum()),
+        "<x>": mean_x(j),
+        "<y>": mean_y(j),
+        "<xy>": mean_xy(j),
+        "V(x)": var_x(j),
+        "V(y)": var_y(j),
+        "E_x": entropy_x(j),
+        "E_y": entropy_y(j),
+        "E_xy": entropy_xy(j),
     }
 
 
 def mixed_correlation(m: MixedPoint) -> float:
-    """sqrt(a1(1-a1)) (b1-b2) / sqrt(<y>(1-<y>))."""
-    vx = m.alpha1 * (1.0 - m.alpha1)
-    y_bar = moments(m)["<y>"]
-    vy = y_bar * (1.0 - y_bar)
-    if vx <= 0.0 or vy <= 0.0:
-        raise DegenerateMarginal(f"zero-variance marginal: V(x)={vx}, V(y)={vy}")
-    return math.sqrt(vx) * (m.beta1 - m.beta2) / math.sqrt(vy)
+    """sqrt(a1(1-a1)) (b1-b2) / sqrt(V(y)), the induced joint's correlation."""
+    return correlation_of_joint(mixed_joint_array(m.as_array()))
 
 
 def behavioural_correlation(b: BehaviouralPoint) -> float:
-    """sqrt(p(1-p)) (r-q) / sqrt(<y>(1-<y>))."""
-    vx = b.p * (1.0 - b.p)
-    y_bar = b.q + b.p * (b.r - b.q)
-    vy = y_bar * (1.0 - y_bar)
-    if vx <= 0.0 or vy <= 0.0:
-        raise DegenerateMarginal(f"zero-variance marginal: V(x)={vx}, V(y)={vy}")
-    return math.sqrt(vx) * (b.r - b.q) / math.sqrt(vy)
+    """sqrt(p(1-p)) (r-q) / sqrt(V(y)), the induced joint's correlation."""
+    return correlation_of_joint(behavioural_joint_array(b.as_array()))
 
 
 # ---------------------------------------------------------------------------

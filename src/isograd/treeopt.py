@@ -5,8 +5,8 @@ with probability ``q`` after tails and ``r`` after heads.  Fixing the
 correlation ``rho`` between the two outcomes carves a surface ``r = r_plus(p,
 q, rho)`` out of the (p, q, r) cube, and each such slice supports its own
 constrained optimum of a payoff that is polylinear in the three
-probabilities.  This module provides the surface geometry (``r_plus`` /
-``r_minus`` branches and the permissible (p, q) region), a discrepancy-style
+probabilities.  This module provides the surface geometry (the ``r_plus``
+branch and the permissible (p, q) region), a discrepancy-style
 payoff whose value depends on which gradient semantics the optimizer is
 allowed to use, and deterministic maximizers for both.
 
@@ -57,8 +57,8 @@ def _validate_rho(rho: float) -> float:
     return rho
 
 
-def _branch_raw(p, q, rho: float, sign: float):
-    """Both quadratic roots for r at fixed (p, q, rho); no validation.
+def _branch_raw(p, q, rho: float):
+    """Upper quadratic root for r at fixed (p, q, rho); no validation.
 
     ``p`` must stay inside (0, 1): the discriminant carries a 1/p and the
     denominator vanishes only at p = 1 (for |rho| = 1).
@@ -67,12 +67,19 @@ def _branch_raw(p, q, rho: float, sign: float):
     q = np.asarray(q, dtype=float)
     rho2 = rho * rho
     disc = rho2 + 4.0 * q * (1.0 - q) * (1.0 - p) / p
-    num = rho2 - 2.0 * q * (1.0 - p) * (rho2 - 1.0) + sign * rho * np.sqrt(disc)
+    num = rho2 - 2.0 * q * (1.0 - p) * (rho2 - 1.0) + rho * np.sqrt(disc)
     den = 2.0 * (1.0 + p * (rho2 - 1.0))
     return num / den
 
 
-def _scalar_branch(p: float, q: float, rho: float, sign: float) -> float:
+def r_plus(p: float, q: float, rho: float) -> float:
+    """Upper root of the correlation equation: the surface branch.
+
+    For every interior ``p`` and permissible ``q`` the point ``(p, q,
+    r_plus(p, q, rho))`` has outcome correlation exactly ``rho``; at ``rho =
+    0`` the branch collapses to ``r = q`` (independent stages).  The lower
+    root is ``r_plus(p, q, -rho)``.
+    """
     p, q, rho = float(p), float(q), _validate_rho(rho)
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
@@ -81,31 +88,13 @@ def _scalar_branch(p: float, q: float, rho: float, sign: float) -> float:
                         "evaluate one-sided limits explicitly if needed")
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"q must lie in [0, 1], got {q!r}")
-    return float(_branch_raw(p, q, rho, sign))
-
-
-def r_plus(p: float, q: float, rho: float) -> float:
-    """Upper root of the correlation equation: the surface branch.
-
-    For every interior ``p`` and permissible ``q`` the point ``(p, q,
-    r_plus(p, q, rho))`` has outcome correlation exactly ``rho``; at ``rho =
-    0`` the branch collapses to ``r = q`` (independent stages).
-    """
-    return _scalar_branch(p, q, rho, +1.0)
-
-
-def r_minus(p: float, q: float, rho: float) -> float:
-    """Lower root of the correlation equation (correlation ``-rho``).
-
-    Exposed for completeness; the slice machinery only uses :func:`r_plus`.
-    """
-    return _scalar_branch(p, q, rho, -1.0)
+    return float(_branch_raw(p, q, rho))
 
 
 def _surface_clamped(p, q, rho: float):
     """r_plus with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided limits)."""
     p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0 - _P_EDGE)
-    return _branch_raw(p, q, rho, +1.0)
+    return _branch_raw(p, q, rho)
 
 
 def permissible_bound(p: float, rho: float) -> float:

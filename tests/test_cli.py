@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,18 @@ class TestJointOps:
                                  "--point", "0.3,0,0,0.7")
         assert code == 2 and out == ""
         assert "unconstrained" in err and "not finite" not in err
+
+    def test_empty_condition_is_an_error_not_a_warning(self, capsys):
+        # P(x=0|y=0) at a = c = 0 is 0/0: one error line, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "joint", "--op", "relations",
+                                     "--mode", "constrained",
+                                     "--point", "0,0,0,1",
+                                     "--family", "independent")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Warning" not in err
 
     def test_unconstrained_fisher_is_three_by_three(self, capsys):
         code, out, err = run_cli(capsys, "joint", "--op", "fisher",

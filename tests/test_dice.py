@@ -181,6 +181,27 @@ class TestMaximizers:
             assert rep.value == pytest.approx(want.value, abs=1e-8)
             np.testing.assert_allclose(rep.point, want.point, atol=1e-4)
 
+    def test_unconstrained_searches_only_the_square(self, monkeypatch):
+        sides = self._record_grid_sides(monkeypatch)
+        maximize_unconstrained()
+        assert sides == [4]
+
+    def test_dice_command_searches_each_face_once(self, monkeypatch, capsys):
+        from isograd import cli
+        sides = self._record_grid_sides(monkeypatch)
+        assert cli.main(["dice"]) == 0
+        assert sides == [2, 3, 4]
+
+    @staticmethod
+    def _record_grid_sides(monkeypatch) -> list:
+        sides, grid = [], dice._entropy_on_grid
+
+        def recording(n, resolution):
+            sides.append(n)
+            return grid(n, resolution)
+        monkeypatch.setattr(dice, "_entropy_on_grid", recording)
+        return sides
+
     def test_unconstrained_lands_on_uniform(self):
         rep = maximize_unconstrained()
         assert rep.value == pytest.approx(LOG4 / 36, abs=1e-8)

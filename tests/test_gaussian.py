@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isograd.errors import BadParams, InfeasiblePoint, PreconditionError
+from isograd.errors import (BadParams, InfeasiblePoint, NonFinite,
+                            PreconditionError)
 from isograd.gaussian import (
     DEFAULT_PARAMS,
     NormalParams,
@@ -31,6 +32,13 @@ class TestNormalParams:
     def test_accepts_valid(self):
         p = NormalParams(0.3, -0.2, 1.1, 0.7, 0.9)
         np.testing.assert_allclose(p.as_array(), [0.3, -0.2, 1.1, 0.7, 0.9])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu_x", "mu_y", "sigma_x", "sigma_y",
+                                      "rho"])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(NonFinite):
+            NormalParams(**{name: bad})
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(BadParams):

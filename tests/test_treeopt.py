@@ -69,16 +69,18 @@ class TestRootBranches:
             assert worst < 1e-8, f"rho={rho}: worst recovery error {worst}"
 
     def test_minus_branch_mirrors_plus(self):
+        # the lower root at rho is the surface at -rho: correlation -rho
         rng = np.random.default_rng(3)
+        checked = 0
         for _ in range(50):
             p = rng.uniform(0.05, 0.95)
             rho = rng.uniform(0.05, 0.95)
             q = rng.uniform(0.01, 0.99) * treeopt.permissible_bound(p, rho)
-            lo = treeopt.r_minus(p, q, rho)
-            np.testing.assert_allclose(lo, treeopt.r_plus(p, q, -rho),
-                                       rtol=0, atol=1e-13)
+            lo = treeopt.r_plus(p, q, -rho)
             if 0.0 < lo < 1.0:
                 assert abs(_correlation(p, q, lo) + rho) < 1e-8
+                checked += 1
+        assert checked >= 10
 
     def test_degenerate_top_edge_is_identically_one(self):
         # at q=1 both numerator and denominator reduce to 2(1-p+p rho^2):
@@ -97,8 +99,6 @@ class TestRootBranches:
             treeopt.r_plus(0.0, 0.5, 0.5)
         with pytest.raises(SingularP):
             treeopt.r_plus(1.0, 0.5, 0.5)
-        with pytest.raises(SingularP):
-            treeopt.r_minus(0.0, 0.5, 0.5)
 
     def test_out_of_range_arguments(self):
         with pytest.raises(OutOfRange):
