@@ -316,8 +316,6 @@ def _slice_row(rep, best) -> tuple[Any, ...]:
 
 
 def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
-    if ns.sweep == (ns.rho is not None):
-        raise BadParams("exactly one of --rho and --sweep is required")
     if ns.sweep:
         result = treeopt.sweep(grid=ns.grid)
         title = f"payoff maxima per correlation slice (grid={ns.grid})"
@@ -333,9 +331,8 @@ def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
         columns=_SLICE_COLUMNS,
         rows=tuple(_slice_row(rep, result.best) for rep in result.rows),
         payload=payload,
-        footer=(() if result.best is None else
-                (f"best slice: {result.best.label} with value "
-                 f"{_format_cell(result.best.value, ns.precision)}",)),
+        footer=(f"best slice: {result.best.label} with value "
+                f"{_format_cell(result.best.value, ns.precision)}",),
     )
 
 
@@ -514,10 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     tree = sub.add_parser("tree-opt", parents=[common],
                           help="maximize the tree payoff on correlation "
                                "slices")
-    tree.add_argument("--rho", type=float, default=None,
-                      help="single slice to maximize")
-    tree.add_argument("--sweep", action="store_true",
-                      help="run the standard nine-slice sweep")
+    target = tree.add_mutually_exclusive_group(required=True)
+    target.add_argument("--rho", type=float, default=None,
+                        help="single slice to maximize")
+    target.add_argument("--sweep", action="store_true",
+                        help="run the standard nine-slice sweep")
     tree.add_argument("--grid", type=int, default=treeopt.DEFAULT_GRID,
                       help=f"grid points per axis "
                            f"(default: {treeopt.DEFAULT_GRID})")
@@ -526,8 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit (p,q,r) triples of one correlation "
                                "surface")
     surf.add_argument("--rho", type=float, required=True)
-    surf.add_argument("--grid", type=int, default=41,
-                      help="grid points per axis (default: 41)")
+    surf.add_argument("--grid", type=int, default=treeopt.DISCREPANCY_GRID,
+                      help=f"grid points per axis "
+                           f"(default: {treeopt.DISCREPANCY_GRID})")
 
     gm = sub.add_parser("game", parents=[common],
                         help="two-stage game under three coupling regimes")

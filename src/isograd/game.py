@@ -9,6 +9,9 @@ unilaterally), and a global comparison in which Y first picks the coupling
 and X then best-responds inside it.  The default coefficients give the
 headline contrast: backwards induction yields payoffs (2, 2) while the
 correlation-selection route yields (4, 3).
+
+At rho = 0 the players mix: the interior indifference point, else a mutual
+boundary best response, which two rounds of best responses always reach.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParams, ConvergenceFailure, UnsupportedRho
+from .errors import BadParams, UnsupportedRho
 
 _TIE_TOL = 0.0  # ties break toward action 0 on exactly zero advantage
-_FIXPOINT_TOL = 1e-10
-_MAX_BR_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,22 @@ def _best_response_y(game: GameSpec, p: float) -> float:
 
 def _solve_independent(game: GameSpec) -> GameOutcome:
     """Zero-correlation play: simultaneous stationarity when the interior
-    indifference roots exist, else alternating boundary best responses."""
+    indifference roots exist, else two rounds of boundary best responses.
+
+    Without both roots in [0, 1], one player's slope keeps its sign (or is
+    constant) over [0, 1], so that player's best response is the same at 0
+    and at 1.  Starting from (0, 0), X then Y, the second round is therefore
+    already a mutual best response.
+    """
     gx, gy = game.x_payoff, game.y_payoff
     q_root = -gx.cx / gx.cxy if gx.cxy != 0.0 else None
     p_root = -gy.cy / gy.cxy if gy.cxy != 0.0 else None
     if (q_root is not None and 0.0 <= q_root <= 1.0
             and p_root is not None and 0.0 <= p_root <= 1.0):
         return _outcome(game, "rho=0", "mixed", p_root, q_root)
-    p, q = 0.0, 0.0
-    for _ in range(_MAX_BR_ITERATIONS):
-        p_next = _best_response_x(game, q)
-        q_next = _best_response_y(game, p_next)
-        if abs(p_next - p) <= _FIXPOINT_TOL and abs(q_next - q) <= _FIXPOINT_TOL:
-            return _outcome(game, "rho=0", "mixed", p_next, q_next)
-        p, q = p_next, q_next
-    raise ConvergenceFailure(
-        "alternating best response did not reach a fixpoint within "
-        f"{_MAX_BR_ITERATIONS} iterations")
+    p = _best_response_x(game, 0.0)
+    p = _best_response_x(game, _best_response_y(game, p))
+    return _outcome(game, "rho=0", "mixed", p, _best_response_y(game, p))
 
 
 def solve_slice(game: GameSpec, rho: float) -> GameOutcome:

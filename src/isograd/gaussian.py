@@ -31,9 +31,6 @@ TWO_PI = 2.0 * math.pi
 QUADRATURE_NODES = 64
 QUADRATURE_SPAN = 8.0
 
-POINTWISE_VARS = ("x", "y", "mu_x", "mu_y", "sigma_x", "sigma_y", "rho")
-EXPECTATION_VARS = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho")
-
 
 @dataclass(frozen=True)
 class NormalParams:
@@ -60,7 +57,8 @@ class NormalParams:
 
 
 # ---------------------------------------------------------------------------
-# densities (internal forms are vectorized over x, y)
+# densities (internal forms are vectorized over x, y and take the parameters
+# unchecked: the relations evaluate them at every finite-difference probe)
 
 def _normal(x, mu, sigma):
     z = (np.asarray(x, dtype=float) - mu) / sigma
@@ -89,29 +87,40 @@ def marginal_pdf_y(params: NormalParams, y):
     return _normal(y, params.mu_y, params.sigma_y)
 
 
+def _conditioned_mean(y, mu_x, mu_y, sigma_x, sigma_y, rho):
+    return mu_x + rho * (sigma_x / sigma_y) * (y - mu_y)
+
+
+def _conditional(x, y, mu_x, mu_y, sigma_x, sigma_y, rho):
+    sigma = sigma_x * math.sqrt(1.0 - rho * rho)
+    return _normal(x, _conditioned_mean(y, mu_x, mu_y, sigma_x, sigma_y, rho),
+                   sigma)
+
+
 def conditioned_mean_x(params: NormalParams, y: float) -> float:
     """Mean of x given y: mu_x + rho (sigma_x/sigma_y)(y - mu_y)."""
-    return params.mu_x + params.rho * (params.sigma_x / params.sigma_y) * (
-        y - params.mu_y)
+    return _conditioned_mean(y, params.mu_x, params.mu_y,
+                             params.sigma_x, params.sigma_y, params.rho)
 
 
 def conditional_pdf_x_given_y(params: NormalParams, x, y):
     """Density of x given y: normal with shifted mean, shrunken variance."""
-    sigma = params.sigma_x * math.sqrt(1.0 - params.rho * params.rho)
-    return _normal(x, conditioned_mean_x(params, y), sigma)
+    return _conditional(x, y, params.mu_x, params.mu_y,
+                        params.sigma_x, params.sigma_y, params.rho)
 
 
 # ---------------------------------------------------------------------------
 # moments
 
+def _moments(mu_x, mu_y, sigma_x, sigma_y, rho) -> dict[str, float]:
+    return {"<x>": mu_x, "<y>": mu_y,
+            "<xy>": mu_x * mu_y + rho * sigma_x * sigma_y}
+
+
 def closed_moments(params: NormalParams) -> dict[str, float]:
     """First moments of the joint family in closed form."""
-    return {
-        "<x>": params.mu_x,
-        "<y>": params.mu_y,
-        "<xy>": params.mu_x * params.mu_y
-                + params.rho * params.sigma_x * params.sigma_y,
-    }
+    return _moments(params.mu_x, params.mu_y, params.sigma_x, params.sigma_y,
+                    params.rho)
 
 
 def quadrature_expectation(params: NormalParams, f) -> float:
@@ -128,29 +137,22 @@ def quadrature_expectation(params: NormalParams, f) -> float:
     return float(wx @ vals @ wy)
 
 
-def pdf_integral(params: NormalParams) -> float:
-    """Total mass of the joint density over the quadrature box."""
-    return quadrature_expectation(params, lambda x, y: np.ones_like(x))
-
-
 # ---------------------------------------------------------------------------
 # gradient relations
 
 def _pointwise_joint_minus_product(z) -> float:
-    x, y, *params = (float(v) for v in z)
-    p = NormalParams(*params)
-    return float(joint_pdf(p, x, y) - marginal_pdf_x(p, x) * marginal_pdf_y(p, y))
+    x, y, mx, my, sx, sy, r = (float(v) for v in z)
+    return float(_joint(x, y, mx, my, sx, sy, r)
+                 - _normal(x, mx, sx) * _normal(y, my, sy))
 
 
 def _pointwise_conditional_minus_marginal(z) -> float:
-    x, y, *params = (float(v) for v in z)
-    p = NormalParams(*params)
-    return float(conditional_pdf_x_given_y(p, x, y) - marginal_pdf_x(p, x))
+    x, y, mx, my, sx, sy, r = (float(v) for v in z)
+    return float(_conditional(x, y, mx, my, sx, sy, r) - _normal(x, mx, sx))
 
 
 def _expectation_covariance(z) -> float:
-    mx, my, sx, sy, r = (float(v) for v in z)
-    moments = closed_moments(NormalParams(mx, my, sx, sy, r))
+    moments = _moments(*(float(v) for v in z))
     return moments["<xy>"] - moments["<x>"] * moments["<y>"]
 
 

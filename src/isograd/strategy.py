@@ -11,7 +11,9 @@ moments, entropies and correlation are jointbinary's statistics of that joint.
 The comparison table evaluates a battery of distributional relations in four
 ways: ambient gradients approached down an epsilon ladder in each
 representation, and substituted (constrained) gradients in each
-representation, at perfectly-correlated and at independent points.
+representation, at perfectly-correlated and at independent points.  Each
+column declares the ``Limit`` or ``Constrained`` mode it differentiates
+with, and each row its expected pattern in all four columns.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import ConstraintSet, gradient, mode_named
+from .core import Constrained, GradientMode, Limit, gradient
 from .errors import OutOfRange, PreconditionError
 from .jointbinary import (
     JointPoint,
@@ -176,19 +178,31 @@ class ColumnSpec:
     """One way of differentiating: a parameterization plus a semantics."""
 
     name: str
-    kind: str                         # "limit" | "constrained"
     parameters: tuple[str, ...]
-    dimension: int
+    mode: GradientMode
     point_of: object = field(repr=False)      # sample -> coordinate array
     joint_of: object = field(repr=False)      # coordinates -> joint 4-vector
-    direction: tuple | None = None            # limit columns only
+
+    @property
+    def kind(self) -> str:
+        """The semantics of :attr:`mode`: "limit" or "constrained"."""
+        return "limit" if isinstance(self.mode, Limit) else "constrained"
+
+    @property
+    def dimension(self) -> int:
+        return len(self.parameters)
 
 
 @dataclass(frozen=True)
 class RowSpec:
+    """One relation and its expected pattern in each of the four columns:
+    ``("components", f)`` with ``f(sample)`` the closed-form gradient, or
+    :data:`ZERO`, :data:`UNIT` or :data:`NONZERO`."""
+
     label: str
     group: str
     relation: object = field(repr=False)      # joint 4-vector -> float
+    expected: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -243,160 +257,138 @@ def _cov(j) -> float:
     return mean_xy(j) - mean_x(j) * mean_y(j)
 
 
+ZERO, UNIT, NONZERO = ("zero",), ("unit",), ("nonzero",)
+#: Expected patterns of a row whose limit reading is only known to be nonzero.
+NONZERO_IN_LIMIT = (NONZERO, NONZERO, ZERO, ZERO)
+
+
+def _correlated(mixed, behavioural, constrained) -> tuple:
+    """Closed-form limit columns in alpha1 and in p, then ``constrained``
+    in both substituted columns."""
+    return (("components", lambda s: mixed(s["alpha1"])),
+            ("components", lambda s: behavioural(s["p"])),
+            constrained, constrained)
+
+
+def _independent(mixed, behavioural) -> tuple:
+    """Closed-form limit columns in (alpha1, beta_bar) and in (p, q); both
+    substituted columns vanish."""
+    return (("components",
+             lambda s: mixed(s["alpha1"], s["beta12"] + s["beta3"])),
+            ("components", lambda s: behavioural(s["p"], s["q"])),
+            ZERO, ZERO)
+
+
+def _k(a: float) -> float:
+    """a(1 - a), the variance of a binary coordinate with mean a."""
+    return a * (1 - a)
+
+
 CORRELATED_ROWS = (
     RowSpec("P(0,0)+P(1,1)", "probability conservation",
-            lambda j: float(j[0] + j[3])),
+            lambda j: float(j[0] + j[3]),
+            _correlated(lambda a: (0.0, a, -(1 - a), 2 * a - 1),
+                        lambda p: (0.0, -(1 - p), p), ZERO)),
     RowSpec("P(0,1)+P(1,0)", "probability conservation",
-            lambda j: float(j[1] + j[2])),
-    RowSpec("P_x|y(0|0)", "conditionals", lambda j: conditional_x0_given_y(j, 0)),
-    RowSpec("P_x|y(0|1)", "conditionals", lambda j: conditional_x0_given_y(j, 1)),
-    RowSpec("<x>", "expectations", mean_x),
-    RowSpec("<y>", "expectations", mean_y),
-    RowSpec("<xy>", "expectations", mean_xy),
+            lambda j: float(j[1] + j[2]),
+            _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
+                        lambda p: (0.0, 1 - p, -p), ZERO)),
+    RowSpec("P_x|y(0|0)", "conditionals", lambda j: conditional_x0_given_y(j, 0),
+            _correlated(lambda a: (0.0, a / (1 - a), 0.0, a / (1 - a)),
+                        lambda p: (0.0, 0.0, p / (1 - p)), ZERO)),
+    RowSpec("P_x|y(0|1)", "conditionals", lambda j: conditional_x0_given_y(j, 1),
+            _correlated(lambda a: (0.0, 0.0, (1 - a) / a, (1 - a) / a),
+                        lambda p: (0.0, (1 - p) / p, 0.0), ZERO)),
+    RowSpec("<x>", "expectations", mean_x,
+            _correlated(lambda a: (1.0, 0.0, 0.0, 0.0),
+                        lambda p: (1.0, 0.0, 0.0), UNIT)),
+    RowSpec("<y>", "expectations", mean_y,
+            _correlated(lambda a: (1.0, a, 1 - a, 1.0),
+                        lambda p: (1.0, 1 - p, p), UNIT)),
+    RowSpec("<xy>", "expectations", mean_xy,
+            _correlated(lambda a: (1.0, a, 0.0, a),
+                        lambda p: (1.0, 0.0, p), UNIT)),
     RowSpec("V(x)+V(y)-2cov", "variance",
-            lambda j: var_x(j) + var_y(j) - 2.0 * _cov(j)),
-    RowSpec("E_xy-E_x", "entropy", lambda j: entropy_xy(j) - entropy_x(j)),
-    RowSpec("rho_xy", "correlation", correlation_of_joint),
+            lambda j: var_x(j) + var_y(j) - 2.0 * _cov(j),
+            _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
+                        lambda p: (0.0, 1 - p, -p), ZERO)),
+    RowSpec("E_xy-E_x", "entropy", lambda j: entropy_xy(j) - entropy_x(j),
+            NONZERO_IN_LIMIT),
+    RowSpec("rho_xy", "correlation", correlation_of_joint, NONZERO_IN_LIMIT),
 )
 
 INDEPENDENT_ROWS = (
     RowSpec("P(0,0)-Px(0)Py(0)", "probability",
-            lambda j: float(j[0] - (j[0] + j[1]) * (j[0] + j[2]))),
+            lambda j: float(j[0] - (j[0] + j[1]) * (j[0] + j[2])),
+            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
+                         lambda p, q: (0.0, -_k(p), _k(p)))),
     RowSpec("P(0,1)-Px(0)Py(1)", "probability",
-            lambda j: float(j[1] - (j[0] + j[1]) * (j[1] + j[3]))),
+            lambda j: float(j[1] - (j[0] + j[1]) * (j[1] + j[3])),
+            _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
+                         lambda p, q: (0.0, _k(p), -_k(p)))),
     RowSpec("P(1,0)-Px(1)Py(0)", "probability",
-            lambda j: float(j[2] - (j[2] + j[3]) * (j[0] + j[2]))),
+            lambda j: float(j[2] - (j[2] + j[3]) * (j[0] + j[2])),
+            _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
+                         lambda p, q: (0.0, _k(p), -_k(p)))),
     RowSpec("P(1,1)-Px(1)Py(1)", "probability",
-            lambda j: float(j[3] - (j[2] + j[3]) * (j[1] + j[3]))),
+            lambda j: float(j[3] - (j[2] + j[3]) * (j[1] + j[3])),
+            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
+                         lambda p, q: (0.0, -_k(p), _k(p)))),
     RowSpec("P_x|y(0|0)-Px(0)", "conditionals",
-            lambda j: conditional_x0_given_y(j, 0) - float(j[0] + j[1])),
+            lambda j: conditional_x0_given_y(j, 0) - float(j[0] + j[1]),
+            _independent(
+                lambda a, bb: (0.0, _k(a) / (1 - bb), -_k(a) / (1 - bb), 0.0),
+                lambda p, q: (0.0, -_k(p) / (1 - q), _k(p) / (1 - q)))),
     RowSpec("P_x|y(0|1)-Px(0)", "conditionals",
-            lambda j: conditional_x0_given_y(j, 1) - float(j[0] + j[1])),
-    RowSpec("<xy>-<x><y>", "expectation", _cov),
+            lambda j: conditional_x0_given_y(j, 1) - float(j[0] + j[1]),
+            _independent(lambda a, bb: (0.0, -_k(a) / bb, _k(a) / bb, 0.0),
+                         lambda p, q: (0.0, _k(p) / q, -_k(p) / q))),
+    RowSpec("<xy>-<x><y>", "expectation", _cov,
+            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
+                         lambda p, q: (0.0, -_k(p), _k(p)))),
     RowSpec("E_xy-E_x-E_y", "entropy",
-            lambda j: entropy_xy(j) - entropy_x(j) - entropy_y(j)),
-    RowSpec("rho_xy", "correlation", correlation_of_joint),
+            lambda j: entropy_xy(j) - entropy_x(j) - entropy_y(j),
+            NONZERO_IN_LIMIT),
+    RowSpec("rho_xy", "correlation", correlation_of_joint, NONZERO_IN_LIMIT),
 )
 
+# constrained columns are already reparameterized: nothing to substitute
+CORRELATED_COLUMNS = (
+    ColumnSpec("P_M", ("alpha1", "beta1", "beta2", "beta3"),
+               Limit(MIXED_CORR_DIRECTION),
+               lambda s: np.array([s["alpha1"], 1.0, 0.0, 0.0]),
+               mixed_joint_array),
+    ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_CORR_DIRECTION),
+               lambda s: np.array([s["p"], 0.0, 1.0]),
+               behavioural_joint_array),
+    ColumnSpec("P_M|beta1=1", ("alpha1",), Constrained(),
+               lambda s: np.array([s["alpha1"]]),
+               lambda z: mixed_joint_array((z[0], 1.0, 0.0, 0.0))),
+    ColumnSpec("P_B|(q,r)=(0,1)", ("p",), Constrained(),
+               lambda s: np.array([s["p"]]),
+               lambda z: behavioural_joint_array((z[0], 0.0, 1.0))),
+)
 
-def _correlated_columns() -> tuple[ColumnSpec, ...]:
-    return (
-        ColumnSpec("P_M", "limit", ("alpha1", "beta1", "beta2", "beta3"), 4,
-                   lambda s: np.array([s["alpha1"], 1.0, 0.0, 0.0]),
-                   mixed_joint_array, MIXED_CORR_DIRECTION),
-        ColumnSpec("P_B", "limit", ("p", "q", "r"), 3,
-                   lambda s: np.array([s["p"], 0.0, 1.0]),
-                   behavioural_joint_array, BEHAV_CORR_DIRECTION),
-        ColumnSpec("P_M|beta1=1", "constrained", ("alpha1",), 1,
-                   lambda s: np.array([s["alpha1"]]),
-                   lambda z: mixed_joint_array((z[0], 1.0, 0.0, 0.0))),
-        ColumnSpec("P_B|(q,r)=(0,1)", "constrained", ("p",), 1,
-                   lambda s: np.array([s["p"]]),
-                   lambda z: behavioural_joint_array((z[0], 0.0, 1.0))),
-    )
-
-
-def _independent_columns() -> tuple[ColumnSpec, ...]:
-    return (
-        ColumnSpec("P_M", "limit", ("alpha1", "beta1", "beta2", "beta3"), 4,
-                   lambda s: np.array([s["alpha1"], s["beta12"], s["beta12"],
-                                       s["beta3"]]),
-                   mixed_joint_array, MIXED_IND_DIRECTION),
-        ColumnSpec("P_B", "limit", ("p", "q", "r"), 3,
-                   lambda s: np.array([s["p"], s["q"], s["q"]]),
-                   behavioural_joint_array, BEHAV_IND_DIRECTION),
-        ColumnSpec("P_M|beta1=beta2", "constrained", ("alpha1", "beta_bar"), 2,
-                   lambda s: np.array([s["alpha1"], s["beta12"] + s["beta3"]]),
-                   lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
-        ColumnSpec("P_B|r=q", "constrained", ("p", "q"), 2,
-                   lambda s: np.array([s["p"], s["q"]]),
-                   lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
-    )
-
-
-def _correlated_expected() -> dict:
-    """Closed-form component patterns per (row, column)."""
-    def mix(f):
-        return ("components", lambda s: f(s["alpha1"]))
-
-    def beh(f):
-        return ("components", lambda s: f(s["p"]))
-
-    zero, unit, nonzero = ("zero",), ("unit",), ("nonzero",)
-    table = {
-        "P(0,0)+P(1,1)": (
-            mix(lambda a: (0.0, a, -(1 - a), 2 * a - 1)),
-            beh(lambda p: (0.0, -(1 - p), p)), zero, zero),
-        "P(0,1)+P(1,0)": (
-            mix(lambda a: (0.0, -a, 1 - a, 1 - 2 * a)),
-            beh(lambda p: (0.0, 1 - p, -p)), zero, zero),
-        "P_x|y(0|0)": (
-            mix(lambda a: (0.0, a / (1 - a), 0.0, a / (1 - a))),
-            beh(lambda p: (0.0, 0.0, p / (1 - p))), zero, zero),
-        "P_x|y(0|1)": (
-            mix(lambda a: (0.0, 0.0, (1 - a) / a, (1 - a) / a)),
-            beh(lambda p: (0.0, (1 - p) / p, 0.0)), zero, zero),
-        "<x>": (mix(lambda a: (1.0, 0.0, 0.0, 0.0)),
-                beh(lambda p: (1.0, 0.0, 0.0)), unit, unit),
-        "<y>": (mix(lambda a: (1.0, a, 1 - a, 1.0)),
-                beh(lambda p: (1.0, 1 - p, p)), unit, unit),
-        "<xy>": (mix(lambda a: (1.0, a, 0.0, a)),
-                 beh(lambda p: (1.0, 0.0, p)), unit, unit),
-        "V(x)+V(y)-2cov": (
-            mix(lambda a: (0.0, -a, 1 - a, 1 - 2 * a)),
-            beh(lambda p: (0.0, 1 - p, -p)), zero, zero),
-        "E_xy-E_x": (nonzero, nonzero, zero, zero),
-        "rho_xy": (nonzero, nonzero, zero, zero),
-    }
-    return table
-
-
-def _independent_expected() -> dict:
-    def mix(f):
-        return ("components",
-                lambda s: f(s["alpha1"], s["beta12"] + s["beta3"]))
-
-    def beh(f):
-        return ("components", lambda s: f(s["p"], s["q"]))
-
-    zero, nonzero = ("zero",), ("nonzero",)
-
-    def k(a):
-        return a * (1 - a)
-
-    table = {
-        "P(0,0)-Px(0)Py(0)": (
-            mix(lambda a, bb: (0.0, k(a), -k(a), 0.0)),
-            beh(lambda p, q: (0.0, -k(p), k(p))), zero, zero),
-        "P(0,1)-Px(0)Py(1)": (
-            mix(lambda a, bb: (0.0, -k(a), k(a), 0.0)),
-            beh(lambda p, q: (0.0, k(p), -k(p))), zero, zero),
-        "P(1,0)-Px(1)Py(0)": (
-            mix(lambda a, bb: (0.0, -k(a), k(a), 0.0)),
-            beh(lambda p, q: (0.0, k(p), -k(p))), zero, zero),
-        "P(1,1)-Px(1)Py(1)": (
-            mix(lambda a, bb: (0.0, k(a), -k(a), 0.0)),
-            beh(lambda p, q: (0.0, -k(p), k(p))), zero, zero),
-        "P_x|y(0|0)-Px(0)": (
-            mix(lambda a, bb: (0.0, k(a) / (1 - bb), -k(a) / (1 - bb), 0.0)),
-            beh(lambda p, q: (0.0, -k(p) / (1 - q), k(p) / (1 - q))),
-            zero, zero),
-        "P_x|y(0|1)-Px(0)": (
-            mix(lambda a, bb: (0.0, -k(a) / bb, k(a) / bb, 0.0)),
-            beh(lambda p, q: (0.0, k(p) / q, -k(p) / q)), zero, zero),
-        "<xy>-<x><y>": (
-            mix(lambda a, bb: (0.0, k(a), -k(a), 0.0)),
-            beh(lambda p, q: (0.0, -k(p), k(p))), zero, zero),
-        "E_xy-E_x-E_y": (nonzero, nonzero, zero, zero),
-        "rho_xy": (nonzero, nonzero, zero, zero),
-    }
-    return table
-
+INDEPENDENT_COLUMNS = (
+    ColumnSpec("P_M", ("alpha1", "beta1", "beta2", "beta3"),
+               Limit(MIXED_IND_DIRECTION),
+               lambda s: np.array([s["alpha1"], s["beta12"], s["beta12"],
+                                   s["beta3"]]),
+               mixed_joint_array),
+    ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_IND_DIRECTION),
+               lambda s: np.array([s["p"], s["q"], s["q"]]),
+               behavioural_joint_array),
+    ColumnSpec("P_M|beta1=beta2", ("alpha1", "beta_bar"), Constrained(),
+               lambda s: np.array([s["alpha1"], s["beta12"] + s["beta3"]]),
+               lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
+    ColumnSpec("P_B|r=q", ("p", "q"), Constrained(),
+               lambda s: np.array([s["p"], s["q"]]),
+               lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
+)
 
 CASES = {
-    "correlated": (CORRELATED_ROWS, _correlated_columns, _correlated_expected),
-    "independent": (INDEPENDENT_ROWS, _independent_columns,
-                    _independent_expected),
+    "correlated": (CORRELATED_ROWS, CORRELATED_COLUMNS),
+    "independent": (INDEPENDENT_ROWS, INDEPENDENT_COLUMNS),
 }
 
 COMPONENT_TOL = 1e-5
@@ -420,49 +412,38 @@ def sample_points(case: str, n: int, seed: int) -> list[dict]:
 
 def _evaluate_cell(row: RowSpec, col: ColumnSpec, expected, samples):
     rel = lambda z: float(row.relation(col.joint_of(z)))
-    # constrained columns are already reparameterized: nothing to substitute
-    mode = mode_named(col.kind, ConstraintSet.empty(), col.direction)
+    pattern = expected[0]
     kinds, components, worst, evidence = [], None, 0.0, math.inf
     passed = True
     for i, s in enumerate(samples):
-        res = gradient(rel, col.point_of(s), mode)
+        res = gradient(rel, col.point_of(s), col.mode)
         kinds.append(res.kind)
         if len(res) and len(res) != col.dimension:
             passed = False
         if i == 0 and res.components is not None:
             components = res.components
-        if expected[0] == "components":
-            want = np.asarray(expected[1](s), dtype=float)
-            if not res.is_finite:
-                passed = False
-                continue
-            err = float(np.max(np.abs(np.asarray(res.components) - want)))
-            worst = max(worst, err)
-            passed = passed and err <= COMPONENT_TOL
-        elif expected[0] == "unit":
-            if not res.is_finite:
-                passed = False
-                continue
-            err = float(np.max(np.abs(np.asarray(res.components) - 1.0)))
-            worst = max(worst, err)
-            passed = passed and err <= ZERO_TOL
-        elif expected[0] == "zero":
-            if not res.is_finite:
-                passed = False
-                continue
-            worst = max(worst, res.magnitude)
-            passed = passed and res.magnitude <= ZERO_TOL
-        else:   # "nonzero"
+        if pattern == "nonzero":
             mag = res.max_ladder_magnitude
             evidence = min(evidence, mag)
             passed = passed and (res.kind == "diverging"
                                  or mag > NONZERO_FLOOR)
+        elif not res.is_finite:
+            passed = False
+        elif pattern == "zero":
+            worst = max(worst, res.magnitude)
+            passed = passed and res.magnitude <= ZERO_TOL
+        else:   # "components", or "unit": every component is 1
+            unit = pattern == "unit"
+            want = 1.0 if unit else np.asarray(expected[1](s), dtype=float)
+            err = float(np.max(np.abs(np.asarray(res.components) - want)))
+            worst = max(worst, err)
+            passed = passed and err <= (ZERO_TOL if unit else COMPONENT_TOL)
     return TableEntry(
-        row=row.label, group=row.group, column=col.name, expected=expected[0],
+        row=row.label, group=row.group, column=col.name, expected=pattern,
         dimension=col.dimension, kinds=tuple(sorted(set(kinds))),
         components=components,
-        worst_error=None if expected[0] == "nonzero" else worst,
-        evidence=None if expected[0] != "nonzero" else
+        worst_error=None if pattern == "nonzero" else worst,
+        evidence=None if pattern != "nonzero" else
         (evidence if math.isfinite(evidence) else None),
         passed=passed)
 
@@ -475,13 +456,9 @@ def table1(case: str, n_samples: int = 20, seed: int = 42) -> Table1Report:
     if case not in CASES:
         raise PreconditionError(
             f"unknown case {case!r}; one of {sorted(CASES)}")
-    rows, columns_fn, expected_fn = CASES[case]
-    columns = columns_fn()
-    expected = expected_fn()
+    rows, columns = CASES[case]
     samples = sample_points(case, n_samples, seed)
-    entries = []
-    for row in rows:
-        for col, exp in zip(columns, expected[row.label]):
-            entries.append(_evaluate_cell(row, col, exp, samples))
+    entries = [_evaluate_cell(row, col, exp, samples)
+               for row in rows for col, exp in zip(columns, row.expected)]
     return Table1Report(case=case, seed=seed, n_samples=n_samples,
                         columns=columns, entries=tuple(entries))

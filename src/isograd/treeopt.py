@@ -6,18 +6,19 @@ correlation ``rho`` between the two outcomes carves a surface ``r = r_plus(p,
 q, rho)`` out of the (p, q, r) cube, and each such slice supports its own
 constrained optimum of a payoff that is polylinear in the three
 probabilities.  This module provides the surface geometry (the ``r_plus``
-branch and the permissible (p, q) region), a discrepancy-style
-payoff whose value depends on which gradient semantics the optimizer is
-allowed to use, and deterministic maximizers for both.
+branch, its continuous extension :func:`surface` and the permissible (p, q)
+:func:`region` of one slice), a discrepancy-style payoff whose value depends
+on which gradient semantics the optimizer is allowed to use, and
+deterministic maximizers for both.
 
 The slice maximizer meshes the (p, q) square, refines on the bounding curve
-(rho > 0) or at the corner grid node (rho <= 0), and cross-checks the two.
+(rho > 0) or at the corner grid node (rho <= 0), and cross-checks the two;
+:func:`sweep` runs it on the nine standard slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -32,13 +33,14 @@ from .errors import (
 )
 from .reports import OptimumReport
 
-#: Tolerance used by :func:`in_range` and the region predicates.
+#: Tolerance of the region predicates.
 RANGE_TOL = 1e-9
 #: One-sided offset used to evaluate the surface by continuity at p in {0,1}.
 _P_EDGE = 1e-9
 #: Default per-axis resolution of the slice-optimizer grid.
 DEFAULT_GRID = 401
-#: Default per-axis resolution of the discrepancy-optimizer grid (3-D cube).
+#: Per-axis resolution of the discrepancy grid (3-D cube) and default
+#: per-axis resolution of :func:`surface_points`.
 DISCREPANCY_GRID = 41
 #: Correlation labels of the standard sweep, from +1 down to -1.
 DEFAULT_RHOS = (1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0)
@@ -125,54 +127,39 @@ def _bound_clamped(p, rho: float):
     return 1.0 / (1.0 + p * (1.0 - rho2) / rho2)
 
 
-def in_range(r) -> int | np.ndarray:
-    """Indicator for ``-tol <= r <= 1 + tol`` with tol = 1e-9 (0/1 valued)."""
-    arr = np.asarray(r, dtype=float)
-    flags = ((arr >= -RANGE_TOL) & (arr <= 1.0 + RANGE_TOL)).astype(int)
-    if flags.ndim == 0:
-        return int(flags)
-    return flags
+def surface(p, q, rho: float):
+    """The slice surface r_plus at (p, q), by continuity at p in {0, 1}."""
+    return _surface_clamped(p, q, _validate_rho(rho))
 
 
-@dataclass(frozen=True)
-class CorrelationSlice:
-    """One constant-correlation surface inside the (p, q, r) cube."""
+def region(p, q, rho: float) -> np.ndarray:
+    """Boolean mask of (p, q) pairs whose surface point is permissible.
 
-    rho: float
+    Besides ``0 <= r_plus <= 1`` this enforces the bounding curve of
+    :func:`permissible_bound`: the raw range check alone also accepts the
+    q = 1 line (where the root formula degenerates to r = 1 without the
+    correlation being defined there).
+    """
+    rho = _validate_rho(rho)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return _mask(p, q, _surface_clamped(p, q, rho), rho)
 
-    def __post_init__(self):
-        _validate_rho(self.rho)
 
-    def surface(self, p, q):
-        """r_plus evaluated by continuity (p clipped away from {0, 1})."""
-        return _surface_clamped(p, q, self.rho)
-
-    def region(self, p, q):
-        """Boolean mask of (p, q) pairs whose surface point is permissible.
-
-        Besides ``0 <= r_plus <= 1`` this enforces the bounding curve of
-        :func:`permissible_bound`: the raw range check alone also accepts the
-        q = 1 line (where the root formula degenerates to r = 1 without the
-        correlation being defined there).
-        """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return self._mask(p, q, self.surface(p, q))
-
-    def _mask(self, p: np.ndarray, q: np.ndarray, r) -> np.ndarray:
-        """:meth:`region` given the surface values ``r`` at (p, q)."""
-        ok = (p >= -RANGE_TOL) & (p <= 1.0 + RANGE_TOL) \
-            & (q >= -RANGE_TOL) & (q <= 1.0 + RANGE_TOL)
-        if self.rho == 0.0:
-            return ok
-        ok &= (r >= -RANGE_TOL) & (r <= 1.0 + RANGE_TOL)
-        if abs(self.rho) < 1.0:
-            bound = _bound_clamped(p, self.rho)
-            if self.rho > 0.0:
-                ok &= q <= bound + RANGE_TOL
-            else:
-                ok &= q >= bound - RANGE_TOL
+def _mask(p: np.ndarray, q: np.ndarray, r, rho: float) -> np.ndarray:
+    """:func:`region` given the surface values ``r`` at (p, q)."""
+    ok = (p >= -RANGE_TOL) & (p <= 1.0 + RANGE_TOL) \
+        & (q >= -RANGE_TOL) & (q <= 1.0 + RANGE_TOL)
+    if rho == 0.0:
         return ok
+    ok &= (r >= -RANGE_TOL) & (r <= 1.0 + RANGE_TOL)
+    if abs(rho) < 1.0:
+        bound = _bound_clamped(p, rho)
+        if rho > 0.0:
+            ok &= q <= bound + RANGE_TOL
+        else:
+            ok &= q >= bound - RANGE_TOL
+    return ok
 
 
 def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
@@ -180,7 +167,7 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
 
     At ``|rho| = 1`` the surface degenerates to the pinned lines
     (p, 0, 1) / (p, 1, 0); otherwise the unit square is meshed at ``grid``
-    points per axis and masked by :meth:`CorrelationSlice.region`.
+    points per axis and masked by :func:`region`.
     """
     rho = _validate_rho(rho)
     grid = _validate_grid(grid, minimum=2)
@@ -189,10 +176,9 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
         return np.column_stack([g, np.zeros_like(g), np.ones_like(g)])
     if rho == -1.0:
         return np.column_stack([g, np.ones_like(g), np.zeros_like(g)])
-    slc = CorrelationSlice(rho)
     P, Q = np.meshgrid(g, g, indexing="ij")
-    R = slc.surface(P, Q)
-    mask = slc._mask(P, Q, R)
+    R = _surface_clamped(P, Q, rho)
+    mask = _mask(P, Q, R, rho)
     R = np.clip(R, 0.0, 1.0)
     return np.column_stack([P[mask], Q[mask], R[mask]])
 
@@ -228,8 +214,7 @@ def discrepancy_payoff(p: float, q: float, r: float,
     raise BadParams(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
 
 
-def maximize_discrepancy(mode: str = "unconstrained",
-                         grid: int = DISCREPANCY_GRID) -> OptimumReport:
+def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
     """Maximize the discrepancy payoff under the given gradient semantics.
 
     Unconstrained: value 1/2, attained on the ridge p = 1/2, q + r = 1; the
@@ -250,8 +235,7 @@ def maximize_discrepancy(mode: str = "unconstrained",
     if mode != "unconstrained":
         raise BadParams(
             f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
-    grid = _validate_grid(grid, minimum=5)
-    g = np.linspace(0.0, 1.0, grid)
+    g = np.linspace(0.0, 1.0, DISCREPANCY_GRID)
     P, Q, R = np.meshgrid(g, g, g, indexing="ij")
     F = 1.0 - (Q + R - 1.0) ** 2 - (1.0 - P) ** 2 - P ** 2
     flat = int(np.argmax(F))  # first maximum in C order: lexicographic point
@@ -274,7 +258,7 @@ def maximize_discrepancy(mode: str = "unconstrained",
         point=tuple(float(c) for c in point),
         value=value,
         mode="discrepancy",
-        diagnostics={"grid": grid, "iterations": int(res.nit),
+        diagnostics={"grid": DISCREPANCY_GRID, "iterations": int(res.nit),
                      "boundary": boundary},
     )
 
@@ -301,10 +285,9 @@ def slice_payoff(p, q, rho: float):
     rho = _validate_rho(rho)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    slc = CorrelationSlice(rho)
-    r = slc.surface(p, q)
+    r = _surface_clamped(p, q, rho)
     value = 2.0 * p + 3.0 * q - 3.0 * p * q - p * r
-    out = np.where(slc._mask(p, q, r), value, 0.0)
+    out = np.where(_mask(p, q, r, rho), value, 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -372,8 +355,7 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
             f"slice rho={rho:+g}: grid optimum {grid_value:.6f} and refined "
             f"optimum {value:.6f} disagree by {disagreement:.2e} "
             f"(> {_DISAGREEMENT_TOL:g}); increase the grid resolution")
-    slc = CorrelationSlice(rho)
-    r = float(np.clip(slc.surface(p, q), 0.0, 1.0))
+    r = float(np.clip(_surface_clamped(p, q, rho), 0.0, 1.0))
     bound_gap = (abs(q - float(_bound_clamped(p, rho)))
                  if 0.0 < abs(rho) < 1.0 else np.inf)
     boundary = bool(min(p, 1.0 - p, q, 1.0 - q, r, 1.0 - r) <= 1e-6
@@ -391,21 +373,16 @@ class SweepResult:
     """Per-slice optima plus the best slice overall."""
 
     rows: tuple[OptimumReport, ...]
-    best: OptimumReport | None
+    best: OptimumReport
 
 
-def sweep(rhos: Sequence[float] | None = None,
-          grid: int = DEFAULT_GRID) -> SweepResult:
-    """Maximize the slice payoff for each correlation label.
+def sweep(grid: int = DEFAULT_GRID) -> SweepResult:
+    """Maximize the slice payoff for each of the nine standard labels.
 
-    ``rhos`` defaults to the nine standard labels from +1 down to -1.  The
-    global best is the row of largest value; exact ties resolve toward the
-    most negative correlation.
+    The labels run from +1 down to -1 (:data:`DEFAULT_RHOS`).  The global
+    best is the row of largest value; exact ties resolve toward the most
+    negative correlation.
     """
-    if rhos is None:
-        rhos = DEFAULT_RHOS
-    rows = tuple(maximize_payoff_on_slice(float(r), grid) for r in rhos)
-    best = None
-    if rows:
-        best = max(rows, key=lambda rep: (rep.value, -rep.diagnostics["rho"]))
+    rows = tuple(maximize_payoff_on_slice(rho, grid) for rho in DEFAULT_RHOS)
+    best = max(rows, key=lambda rep: (rep.value, -rep.diagnostics["rho"]))
     return SweepResult(rows=rows, best=best)

@@ -142,6 +142,11 @@ class TestFiniteDifference:
         with pytest.raises(DomainError):
             finite_difference(f, np.array([0.0]))
 
+    def test_non_finite_value_is_a_domain_error(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                finite_difference(lambda x: value, np.array([0.5]))
+
 
 class TestDirectedGradient:
     def test_requires_unit_direction(self):
@@ -304,6 +309,24 @@ class TestLimitGradient:
         away = (0.0, -1.0 / SQRT2, -1.0 / SQRT2)
         with pytest.raises(PreconditionError):
             gradient(joint_entropy, resolve((0.5, 0.0, 0.0, 0.5)), Limit(away))
+
+    def test_probe_along_a_face_is_not_interior(self):
+        # the first free coordinate stays 0 on every rung
+        with pytest.raises(PreconditionError, match="not interior"):
+            gradient(lambda x: x[0], resolve((0.0, 0.5, 0.5)),
+                     Limit((0.0, 1.0)))
+
+    def test_direction_must_match_the_free_coordinates(self):
+        with pytest.raises(PreconditionError, match="2 components, expected 1"):
+            gradient(lambda x: x[0], [0.5], Limit((0.0, 1.0)))
+
+    def test_oscillating_ladder_is_undefined(self):
+        # sin(1/x) has no one-sided derivative trend at 0
+        res = gradient(lambda x: math.sin(1.0 / x[0]), [0.0], Limit((1.0,)))
+        assert res.kind == "undefined"
+        assert res.components is None and res.blowup_direction is None
+        assert len(res.ladder) == 3
+        assert math.isnan(res.magnitude)
 
     def test_ladder_recorded(self):
         res = gradient(joint_entropy, resolve((0.5, 0.0, 0.0, 0.5)),

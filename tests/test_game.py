@@ -1,6 +1,7 @@
 """Tests for the two-stage game solvers and the coupling comparison."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestSolveSlice:
         # (with this seed: 4 interior stationary points, 96 boundary plays)
         assert interior_seen >= 3
         assert fallback_seen >= 50
+
+    def test_outcome_is_mutual_best_response_on_coefficient_grid(self):
+        # every slope sign pattern, with zero slopes and roots on 0 and 1
+        values = np.linspace(-3.0, 3.0, 9)
+        for xcx, xcxy, ycy, ycxy in itertools.product(values, repeat=4):
+            game = GameSpec(x_payoff=PayoffForm(0.0, xcx, 1.0, xcxy),
+                            y_payoff=PayoffForm(0.0, 1.0, ycy, ycxy))
+            p, q = solve_slice(game, 0.0).strategy
+            assert _is_mutual_best_response(game, p, q), (xcx, xcxy, ycy, ycxy)
 
     def test_boundary_fallback_when_roots_leave_the_square(self):
         # X's indifference root sits at q = 5 > 1: no interior equilibrium

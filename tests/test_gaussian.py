@@ -18,7 +18,6 @@ from isograd.gaussian import (
     joint_pdf,
     marginal_pdf_x,
     marginal_pdf_y,
-    pdf_integral,
     probe_grid,
     quadrature_expectation,
     relation_gradients,
@@ -116,7 +115,8 @@ class TestMoments:
     def test_density_normalizes(self):
         for rho in (0.0, 0.5, -0.5, 0.9, -0.9):
             p = NormalParams(0.3, -0.2, 1.1, 0.7, rho)
-            assert abs(pdf_integral(p) - 1.0) < 1e-6
+            mass = quadrature_expectation(p, lambda x, y: np.ones_like(x))
+            assert abs(mass - 1.0) < 1e-6
 
 
 class TestRelationGradients:
@@ -195,6 +195,8 @@ class TestRelationGradients:
                                probe=(0.0, 0.0))
         with pytest.raises(PreconditionError):
             relation_gradients(DEFAULT_PARAMS, "<xy>-<x><y>", "sideways")
+        with pytest.raises(PreconditionError, match="read constrained"):
+            relation_gradients(DEFAULT_PARAMS, "<xy>-<x><y>", "unconstrained")
 
 
 class TestCheckSuite:

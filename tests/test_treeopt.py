@@ -18,7 +18,6 @@ from isograd.errors import (
     SingularRho,
 )
 from isograd.strategy import BehaviouralPoint, behavioural_correlation
-from isograd.treeopt import CorrelationSlice
 
 # (rho, optimal value, optimal point) of the standard sweep; frozen expected
 # values, points quoted to the precision they are reported at.
@@ -139,9 +138,9 @@ class TestPermissibleBound:
                 inside = qi <= b - 1e-6 if rho > 0 else qi >= b + 1e-6
                 outside = qi >= b + 1e-6 if rho > 0 else qi <= b - 1e-6
                 if inside:
-                    assert treeopt.in_range(r) == 1
+                    assert -1e-9 <= r <= 1.0 + 1e-9
                 elif outside:
-                    assert treeopt.in_range(r) == 0
+                    assert not -1e-9 <= r <= 1.0 + 1e-9
 
     def test_singular_rho(self):
         with pytest.raises(SingularRho):
@@ -156,52 +155,42 @@ class TestPermissibleBound:
             treeopt.permissible_bound(0.5, 1.0)
 
 
-class TestInRange:
-    def test_plain_values(self):
-        assert treeopt.in_range(0.5) == 1
-        assert treeopt.in_range(-0.01) == 0
-        assert treeopt.in_range(1.0 + 1e-12) == 1
-
-    def test_tolerance_edges(self):
-        assert treeopt.in_range(-1e-9) == 1
-        assert treeopt.in_range(1.0 + 1e-9) == 1
-        assert treeopt.in_range(-1.1e-9) == 0
-        assert treeopt.in_range(1.0 + 1.1e-9) == 0
-
-    def test_array_input(self):
-        flags = treeopt.in_range(np.array([0.2, 1.5, -0.2, 1.0]))
-        np.testing.assert_array_equal(flags, [1, 0, 0, 1])
-
-
 class TestCorrelationSlice:
     def test_zero_rho_surface_is_q(self):
-        slc = CorrelationSlice(0.0)
         P, Q = np.meshgrid(np.linspace(0.0, 1.0, 30),
                            np.linspace(0.0, 1.0, 30), indexing="ij")
-        np.testing.assert_allclose(slc.surface(P, Q), Q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(treeopt.surface(P, Q, 0.0), Q,
+                                   rtol=0, atol=1e-12)
 
     def test_surface_in_unit_interval_on_region(self):
         g = np.linspace(0.0, 1.0, 101)
         P, Q = np.meshgrid(g, g, indexing="ij")
         for rho in (0.6, 0.25, -0.25, -0.6):
-            slc = CorrelationSlice(rho)
-            mask = slc.region(P, Q)
+            mask = treeopt.region(P, Q, rho)
             assert mask.any()
-            r = slc.surface(P, Q)[mask]
+            r = treeopt.surface(P, Q, rho)[mask]
             assert r.min() >= -1e-9 and r.max() <= 1.0 + 1e-9
 
     def test_region_excludes_degenerate_top_edge(self):
-        assert not CorrelationSlice(0.5).region(0.3, 1.0)
+        assert not treeopt.region(0.3, 1.0, 0.5)
         # for negative rho the top edge is a genuine part of the band
-        assert CorrelationSlice(-0.5).region(0.3, 1.0)
+        assert treeopt.region(0.3, 1.0, -0.5)
 
     def test_region_excludes_degenerate_bottom_edge_for_negative_rho(self):
-        assert not CorrelationSlice(-0.5).region(0.3, 0.0)
-        assert CorrelationSlice(0.5).region(0.3, 0.0)
+        assert not treeopt.region(0.3, 0.0, -0.5)
+        assert treeopt.region(0.3, 0.0, 0.5)
+
+    def test_region_tolerance_edges(self):
+        # p is accepted up to 1e-9 past each edge of [0, 1], not further
+        p = np.array([-1e-9, 1.0 + 1e-9, -1.1e-9, 1.0 + 1.1e-9, 0.0, 1.0])
+        np.testing.assert_array_equal(treeopt.region(p, 0.5, 0.0),
+                                      [True, True, False, False, True, True])
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
-            CorrelationSlice(1.5)
+            treeopt.surface(0.3, 0.5, 1.5)
+        with pytest.raises(OutOfRange):
+            treeopt.region(0.3, 0.5, -1.5)
 
 
 class TestSurfacePoints:
@@ -308,8 +297,6 @@ class TestMaximizeDiscrepancy:
     def test_validation(self):
         with pytest.raises(BadParams):
             treeopt.maximize_discrepancy("lagrangian")
-        with pytest.raises(BadParams):
-            treeopt.maximize_discrepancy(grid=3)
 
 
 class TestSlicePayoff:
@@ -357,10 +344,9 @@ class TestMaximizePayoffOnSlice:
     def test_reported_point_is_feasible(self):
         for rho in (0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75):
             rep = treeopt.maximize_payoff_on_slice(rho)
-            slc = CorrelationSlice(rho)
             p, q, r = rep.point
-            assert abs(r - float(slc.surface(p, q))) <= 1e-6
-            assert bool(slc.region(p, q))
+            assert abs(r - float(treeopt.surface(p, q, rho))) <= 1e-6
+            assert bool(treeopt.region(p, q, rho))
 
     def test_negative_rho_edge_r_values(self):
         # at p -> 0 the optimal r equals 1 - rho^2 exactly
@@ -457,24 +443,15 @@ class TestSweep:
 
     def test_global_best(self):
         result = treeopt.sweep()
-        assert result.best is not None
         assert result.best.value == pytest.approx(3.0, abs=1e-9)
         # four slices tie at 3; the tie resolves to the most negative label
         assert result.best.diagnostics["rho"] == -1.0
 
-    def test_empty_sweep(self):
-        result = treeopt.sweep([])
-        assert result.rows == ()
-        assert result.best is None
-
-    def test_custom_selection(self):
-        result = treeopt.sweep([0.5])
-        assert len(result.rows) == 1
-        assert result.best is result.rows[0]
-        assert result.best.value == pytest.approx(1.40068, abs=1e-3)
-
     def test_to_dict_round_trip(self):
-        result = treeopt.sweep([0.0, -1.0])
+        result = treeopt.sweep()
         payload = dataclasses.asdict(result)
-        assert [row["label"] for row in payload["rows"]] == ["rho=+0", "rho=-1"]
+        assert [row["label"] for row in payload["rows"]] == [
+            "rho=+1", "rho=+0.75", "rho=+0.5", "rho=+0.25", "rho=+0",
+            "rho=-0.25", "rho=-0.5", "rho=-0.75", "rho=-1"]
+        assert payload["best"]["label"] == "rho=-1"
         assert payload["best"]["value"] == pytest.approx(3.0)
