@@ -12,7 +12,8 @@ Modules
 -------
 core
     Probability vectors, constraint sets, the two gradient modes, entropy
-    and simplex-volume helpers.
+    and simplex-volume helpers, and the SciPy searches the optimizers
+    polish with (SciPy is imported on their first call).
 dice
     Die-rolling payoff (volume^2 * entropy) maximized per space, under a
     constrained target, and over the ambient square.

@@ -18,7 +18,9 @@ The two rules agree on unconstrained interiors and disagree exactly where the
 case studies in the rest of the package say they should.
 
 The shared formulas live here once: ``xlogx`` for every entropy, the null
-space of a constraint Jacobian, and the central-difference loop.
+space of a constraint Jacobian, and the central-difference loop.  So do the
+two SciPy searches the optimizers polish with, which import SciPy on their
+first call: ``import isograd`` loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -483,3 +485,20 @@ def entropy_of_free(free: np.ndarray) -> float:
     """Entropy as a function of free coordinates (last coordinate resolved)."""
     free = np.asarray(free, dtype=float)
     return entropy_of_cells((*free, 1.0 - free.sum()))
+
+
+# ---------------------------------------------------------------------------
+# polish searches (SciPy, imported on first call)
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0, **options):
+    """``scipy.optimize.minimize``; its ``OptimizeResult`` is returned as is."""
+    from scipy.optimize import minimize as search
+    return search(fun, x0, **options)
+
+
+def minimize_scalar(fun: Callable[[float], float], **options):
+    """``scipy.optimize.minimize_scalar``; its ``OptimizeResult`` is returned
+    as is."""
+    from scipy.optimize import minimize_scalar as search
+    return search(fun, **options)

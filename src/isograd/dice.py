@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (ConstraintSet, ProbVector, entropy, entropy_of_free,
-                   require_finite, resolve, simplex_volume, xlogx)
+                   minimize, require_finite, resolve, simplex_volume, xlogx)
 from .errors import BadDimension, InfeasiblePoint
 from .reports import OptimumReport
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
+from .core import minimize, minimize_scalar
 from .errors import (
     BadParams,
     ConvergenceFailure,
@@ -94,8 +94,11 @@ def r_plus(p: float, q: float, rho: float) -> float:
 
 
 def _surface_clamped(p, q, rho: float):
-    """r_plus with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided limits)."""
+    """r_plus with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided limits)
+    and q into [0, 1], so the RANGE_TOL band of :func:`_mask` reads a
+    finite surface."""
     p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0 - _P_EDGE)
+    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
     return _branch_raw(p, q, rho)
 
 

@@ -320,6 +320,29 @@ class TestSlicePayoff:
         q = treeopt.permissible_bound(p, 0.5)
         assert treeopt.slice_payoff(p, q, 0.5) == pytest.approx(1.40068, abs=1e-3)
 
+    @pytest.mark.parametrize("q", [1.0 + 1e-9, -1e-9])
+    def test_tolerance_band_is_finite(self, q):
+        # region accepts q up to RANGE_TOL outside [0, 1]; the payoff there
+        # reads the surface at the clipped q (no sqrt of a negative, no NaN)
+        assert treeopt.region(0.5, q, 0.0)
+        value = treeopt.slice_payoff(0.5, q, 0.0)
+        assert math.isfinite(value)
+        edge = treeopt.slice_payoff(0.5, min(max(q, 0.0), 1.0), 0.0)
+        assert value == pytest.approx(edge, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.75, 0.5, 0.13, 0.0, -0.25, -0.75])
+    def test_mesh_bitwise_unchanged_by_q_clip(self, rho):
+        # the optimizer's sparse 401^2 mesh never leaves [0, 1], so clipping
+        # q changes no bit of the payoff there
+        g = np.linspace(0.0, 1.0, 401)
+        P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
+        R = treeopt._branch_raw(np.clip(P, treeopt._P_EDGE,
+                                        1.0 - treeopt._P_EDGE), Q, rho)
+        unclipped = np.where(treeopt._mask(P, Q, R, rho),
+                             2.0 * P + 3.0 * Q - 3.0 * P * Q - P * R, 0.0)
+        V = treeopt.slice_payoff(P, Q, rho)
+        assert V.tobytes() == unclipped.tobytes()
+
 
 class TestMaximizePayoffOnSlice:
     def test_matches_printed_sweep_rows(self):
