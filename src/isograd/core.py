@@ -1,24 +1,26 @@
 """Probability vectors and the two gradient semantics.
 
-A point on an n-outcome simplex is stored with one coordinate *resolved* by
-normalization (p_resolved = 1 - sum of the others), so scalar functions of a
-point are always functions of the n-1 free coordinates.
+A point on an n-outcome simplex keeps its last coordinate *resolved* by
+normalization (p_n = 1 - sum of the others), so scalar functions of a point
+are always functions of the n-1 free coordinates.
 
 Two distinct differentiation rules are implemented:
 
 * ``Constrained(constraints)`` substitutes the equality constraints before
   differentiating: the result has one component per tangent direction of the
   constraint manifold, and directions normal to the manifold are simply absent.
-* ``Limit(direction, epsilons)`` never substitutes: it evaluates the full
-  ambient finite-difference gradient at ``at + eps * direction`` for a ladder
-  of epsilons and classifies the trend as Finite (with the extrapolated limit),
-  Diverging, or Undefined.
+  The tangent basis comes from one Gram-Schmidt pass over the constraint
+  gradients and then over the axes e_1..e_n; the axes that survive form it.
+* ``Limit(direction)`` never substitutes: it evaluates the full ambient
+  finite-difference gradient at ``at + eps * direction`` for each eps of
+  :data:`DEFAULT_LADDER` and classifies the trend as Finite (with the
+  extrapolated limit), Diverging, or Undefined.
 
 The two rules agree on unconstrained interiors and disagree exactly where the
 case studies in the rest of the package say they should.
 
-The shared formulas live here once: ``xlogx`` for every entropy, the null
-space of a constraint Jacobian, and the central-difference loop.  So do the
+The shared formulas live here once: ``xlogx`` for every entropy, the tangent
+basis of a constraint Jacobian, and the central-difference loop.  So do the
 two SciPy searches the optimizers polish with, which import SciPy on their
 first call: ``import isograd`` loads numpy and the standard library only.
 """
@@ -48,6 +50,9 @@ FEASIBILITY_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 FD_STEP = 1e-6
 DEFAULT_LADDER = (1e-3, 1e-4, 1e-5)
+# Gram-Schmidt drops a vector when at most this share of its starting norm is
+# left: above the FD noise of a Jacobian row (~1e-10), far below 1/sqrt(n)
+BASIS_DROP_TOL = 1e-8
 # ladder classification: successive rungs agree within LADDER_RTOL relative
 # (plus LADDER_ATOL), decay when each difference is at most LADDER_DECAY of
 # the one before, and diverge when each norm grows by more than GROWTH_MARGIN
@@ -63,17 +68,14 @@ GROWTH_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Outcome probabilities with one coordinate resolved by normalization."""
+    """Outcome probabilities; the last one is resolved by normalization."""
 
     probs: tuple[float, ...]
-    resolved_index: int
 
     def __post_init__(self):
         n = len(self.probs)
         if n < 2:
             raise BadDimension(f"need at least 2 outcomes, got {n}")
-        if not 0 <= self.resolved_index < n:
-            raise BadDimension(f"resolved_index {self.resolved_index} out of range")
         require_finite(self.probs)
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise OutOfRange(f"probabilities outside [0, 1]: {self.probs}")
@@ -87,24 +89,10 @@ class ProbVector:
 
     @property
     def free(self) -> tuple[float, ...]:
-        i = self.resolved_index
-        return self.probs[:i] + self.probs[i + 1:]
-
-    @property
-    def resolved(self) -> float:
-        return self.probs[self.resolved_index]
+        return self.probs[:-1]
 
     def free_array(self) -> np.ndarray:
         return np.asarray(self.free, dtype=float)
-
-    def with_free(self, free: Sequence[float]) -> "ProbVector":
-        """Rebuild a full vector from new free coordinates (resolved adjusts)."""
-        free = tuple(float(v) for v in free)
-        if len(free) != self.n - 1:
-            raise BadDimension(f"expected {self.n - 1} free coordinates")
-        resolved = min(1.0, max(0.0, 1.0 - math.fsum(free)))
-        i = self.resolved_index
-        return ProbVector(free[:i] + (resolved,) + free[i:], i)
 
 
 def require_finite(values: Sequence[float]) -> None:
@@ -127,7 +115,7 @@ def resolve(point: Sequence[float]) -> ProbVector:
         raise NotNormalized(f"probabilities sum to {s!r}, not 1")
     clipped = [min(1.0, max(0.0, v)) for v in vals]
     resolved = min(1.0, max(0.0, 1.0 - math.fsum(clipped[:-1])))
-    return ProbVector(tuple(clipped[:-1]) + (resolved,), len(vals) - 1)
+    return ProbVector(tuple(clipped[:-1]) + (resolved,))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +135,8 @@ class ConstraintSet:
     label: str = ""
 
     @staticmethod
-    def empty(label: str = "unconstrained") -> "ConstraintSet":
-        return ConstraintSet((), label)
+    def empty() -> "ConstraintSet":
+        return ConstraintSet((), "unconstrained")
 
     @staticmethod
     def pin(indices_values: dict[int, float], label: str = "") -> "ConstraintSet":
@@ -187,24 +175,17 @@ class Limit:
     """Differentiate the ambient function along an approach path.
 
     ``direction`` is a unit vector in the free coordinates; the gradient is
-    evaluated at ``at + eps * direction`` for each eps of the (strictly
-    decreasing, positive) ladder.
+    evaluated at ``at + eps * direction`` for each eps of
+    :data:`DEFAULT_LADDER`.
     """
 
     direction: tuple[float, ...]
-    epsilons: tuple[float, ...] = DEFAULT_LADDER
 
     def __post_init__(self):
         require_finite(self.direction)
-        require_finite(self.epsilons)
         d = np.asarray(self.direction, dtype=float)
         if d.size == 0 or abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
-        eps = self.epsilons
-        if len(eps) < 2 or any(e <= 0 for e in eps) or any(
-                eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise PreconditionError(
-                "epsilon ladder must be strictly decreasing and positive")
 
 
 GradientMode = Union[Constrained, Limit]
@@ -312,6 +293,15 @@ def finite_difference(f: Callable[[np.ndarray], float], at,
     return _central(f, x, h * np.eye(x.size), h)
 
 
+def _along(mode: Limit, x: np.ndarray) -> np.ndarray:
+    """The approach direction of ``mode`` as an array shaped like ``x``."""
+    d = np.asarray(mode.direction, dtype=float)
+    if d.shape != x.shape:
+        raise PreconditionError(
+            f"direction has {d.size} components, expected {x.size}")
+    return d
+
+
 def directed_gradient(f: Callable[[np.ndarray], float], at,
                       direction: Sequence[float]) -> float:
     """Dot product of the ambient gradient with a unit direction.
@@ -321,44 +311,31 @@ def directed_gradient(f: Callable[[np.ndarray], float], at,
     partials blow up.
     """
     x = _free_coords(at)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != x.shape:
-        raise PreconditionError(
-            f"direction has {d.size} components, expected {x.size}")
-    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
-        raise PreconditionError("direction must be a unit vector (|d| = 1)")
+    d = _along(Limit(tuple(direction)), x)
     return float(_central(f, x, (FD_STEP * d,), FD_STEP)[0])
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis of ``a`` as columns; singular values up
-    to max(s) * eps * max(M, N) count as zero (SciPy's rank rule)."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
-    return vh[int(np.sum(s > tol)):].T
+def _tangent_basis(jac: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the constraint tangent space, as columns.
 
-
-def _canonical_tangent_basis(jac: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the constraint tangent space, canonically oriented.
-
-    Columns are ordered by the index of their largest-magnitude entry and
-    signed so that entry is positive; coordinate-pinning constraints therefore
-    reproduce the remaining coordinate axes in natural order.
+    One Gram-Schmidt pass runs over the rows of ``jac`` and then over the
+    axes e_1..e_n, in that order, dropping each vector whose remainder is at
+    most :data:`BASIS_DROP_TOL` of its starting norm.  The axes that survive
+    are the basis: coordinate pins give exactly the remaining axes, in order,
+    and each column is positive on the axis it came from.
     """
-    if jac.shape[0] == 0:
-        return np.eye(dim)
-    basis = _null_space(jac)
-    if basis.shape[1] == 0:
-        return basis
-    cols = []
-    for j in range(basis.shape[1]):
-        v = basis[:, j]
-        lead = int(np.argmax(np.abs(v)))
-        if v[lead] < 0:
-            v = -v
-        cols.append((lead, v))
-    cols.sort(key=lambda t: t[0])
-    return np.column_stack([v for _, v in cols])
+    rows, n = jac.shape
+    found = []
+    for i, v in enumerate(jac.tolist() + np.eye(n).tolist()):
+        start = math.hypot(*v)
+        for _, q in found:
+            c = sum([a * b for a, b in zip(q, v)])
+            v = [a - c * b for a, b in zip(v, q)]
+        left = math.hypot(*v)
+        if left > BASIS_DROP_TOL * start:
+            found.append((i, [a / left for a in v]))
+    axes = [q for i, q in found if i >= rows]
+    return np.array(axes, dtype=float).reshape(len(axes), n).T
 
 
 def _classify_ladder(grads: list[np.ndarray]):
@@ -388,12 +365,6 @@ def _classify_ladder(grads: list[np.ndarray]):
     return "undefined"
 
 
-def _extrapolate(g_prev: np.ndarray, g_last: np.ndarray,
-                 e_prev: float, e_last: float) -> np.ndarray:
-    # linear model g(eps) = g0 + c*eps fitted to the last two rungs
-    return g_last + (g_last - g_prev) * (e_last / (e_prev - e_last))
-
-
 def gradient(f: Callable[[np.ndarray], float], at,
              mode: GradientMode) -> GradientResult:
     """Gradient of ``f`` at ``at`` under the requested semantics."""
@@ -404,30 +375,28 @@ def gradient(f: Callable[[np.ndarray], float], at,
         if not cs.satisfied(x):
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
-        basis = _canonical_tangent_basis(cs.jacobian(x), x.size)
+        basis = _tangent_basis(cs.jacobian(x))
         comps = _central(f, x, FD_STEP * basis.T, FD_STEP)
         return GradientResult.finite(comps, basis)
 
     if isinstance(mode, Limit):
-        d = np.asarray(mode.direction, dtype=float)
-        if d.shape != x.shape:
-            raise PreconditionError(
-                f"direction has {d.size} components, expected {x.size}")
+        d = _along(mode, x)
         if isinstance(at, ProbVector):
-            for eps in mode.epsilons:
-                probe = at.with_free(x + eps * d)
-                if probe.resolved <= 0.0 or any(p <= 0.0 for p in probe.free):
+            for eps in DEFAULT_LADDER:
+                free = x + eps * d
+                if min(*free, 1.0 - math.fsum(free)) <= 0.0:
                     raise PreconditionError(
                         f"at + {eps:g}*direction is not interior to the simplex")
-        # the probe step must shrink with the rung, or the smallest rungs of a
-        # shrunk ladder would poke through the simplex boundary
+        # the FD step is at most a twentieth of the rung, so every probe
+        # keeps to the rung's side of the boundary it approaches
         grads = [finite_difference(f, x + eps * d, h=min(FD_STEP, eps / 20.0))
-                 for eps in mode.epsilons]
+                 for eps in DEFAULT_LADDER]
         ladder = tuple(tuple(float(v) for v in g) for g in grads)
         kind = _classify_ladder(grads)
         if kind == "finite":
-            lim = _extrapolate(grads[-2], grads[-1],
-                               mode.epsilons[-2], mode.epsilons[-1])
+            # linear model g(eps) = g0 + c*eps fitted to the last two rungs
+            e_prev, e_last = DEFAULT_LADDER[-2:]
+            lim = grads[-1] + (grads[-1] - grads[-2]) * (e_last / (e_prev - e_last))
             return GradientResult(kind="finite",
                                   components=tuple(float(v) for v in lim),
                                   ladder=ladder)

@@ -13,7 +13,7 @@ class IsogradError(Exception):
 
 
 class PreconditionError(IsogradError, ValueError):
-    """A documented precondition was violated (bad direction, bad ladder, ...)."""
+    """A documented precondition was violated (bad direction, exterior probe, ...)."""
 
 
 class NotNormalized(PreconditionError):

@@ -63,7 +63,7 @@ class JointPoint:
 
     @property
     def pv(self) -> ProbVector:
-        return ProbVector((self.a, self.b, self.c, self.d), 3)
+        return ProbVector((self.a, self.b, self.c, self.d))
 
     @property
     def probs(self) -> tuple[float, float, float, float]:

@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Constrained, GradientMode, Limit, gradient
+from .core import (NORMALIZATION_TOL, PROB_SUM_TOL, Constrained, GradientMode,
+                   Limit, gradient)
 from .errors import OutOfRange, PreconditionError
 from .jointbinary import (
     JointPoint,
@@ -39,8 +40,6 @@ from .jointbinary import (
     var_y,
 )
 
-PROB_TOL = 1e-12
-
 # ladder approach directions: into the interior, off the special manifold
 MIXED_CORR_DIRECTION = tuple(np.array([0.0, -3.0, 1.0, 1.0]) / math.sqrt(11))
 BEHAV_CORR_DIRECTION = (0.0, 1.0 / math.sqrt(2), -1.0 / math.sqrt(2))
@@ -50,7 +49,7 @@ BEHAV_IND_DIRECTION = (0.0, 0.0, 1.0)         # step r off r = q
 
 def _check_unit_interval(name: str, value: float) -> float:
     value = float(value)
-    if not -PROB_TOL <= value <= 1.0 + PROB_TOL:
+    if not -PROB_SUM_TOL <= value <= 1.0 + PROB_SUM_TOL:
         raise OutOfRange(f"{name} = {value!r} outside [0, 1]")
     return min(1.0, max(0.0, value))
 
@@ -70,7 +69,7 @@ class MixedPoint:
         for name in ("beta1", "beta2", "beta3"):
             object.__setattr__(self, name,
                                _check_unit_interval(name, getattr(self, name)))
-        if self.beta1 + self.beta2 + self.beta3 > 1.0 + 1e-9:
+        if self.beta1 + self.beta2 + self.beta3 > 1.0 + NORMALIZATION_TOL:
             raise OutOfRange(
                 f"beta weights sum to {self.beta1 + self.beta2 + self.beta3}")
 

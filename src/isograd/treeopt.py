@@ -195,6 +195,11 @@ def agreement_probability(p: float, q: float, r: float) -> float:
     return 1.0 - q + p * (q + r - 1.0)
 
 
+def _unconstrained_discrepancy(p, q, r):
+    """1 - (q + r - 1)^2 - (1 - p)^2 - p^2, for floats or arrays alike."""
+    return 1.0 - (q + r - 1.0) ** 2 - (1.0 - p) ** 2 - p ** 2
+
+
 def discrepancy_payoff(p: float, q: float, r: float,
                        mode: str = "unconstrained") -> float:
     """Payoff 1 - |grad of the agreement probability|^2.
@@ -207,7 +212,7 @@ def discrepancy_payoff(p: float, q: float, r: float,
     """
     p, q, r = float(p), float(q), float(r)
     if mode == "unconstrained":
-        return 1.0 - (q + r - 1.0) ** 2 - (1.0 - p) ** 2 - p ** 2
+        return _unconstrained_discrepancy(p, q, r)
     if mode == "constrained":
         if abs(q) > RANGE_TOL or abs(r - 1.0) > RANGE_TOL:
             raise InfeasiblePoint(
@@ -240,7 +245,7 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
             f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     g = np.linspace(0.0, 1.0, DISCREPANCY_GRID)
     P, Q, R = np.meshgrid(g, g, g, indexing="ij")
-    F = 1.0 - (Q + R - 1.0) ** 2 - (1.0 - P) ** 2 - P ** 2
+    F = _unconstrained_discrepancy(P, Q, R)
     flat = int(np.argmax(F))  # first maximum in C order: lexicographic point
     pi, qi, ri = np.unravel_index(flat, F.shape)
     point = np.array([g[pi], g[qi], g[ri]])

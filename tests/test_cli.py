@@ -384,6 +384,14 @@ class TestJointOps:
         assert code == 2 and out == ""
         assert "unconstrained" in err and "not finite" not in err
 
+    def test_limit_probe_leaving_the_simplex_is_not_interior(self, capsys):
+        # the approach steps a up from a + b = 1, so d = 1 - a - b - c < 0
+        code, out, err = run_cli(capsys, "joint", "--op", "relations",
+                                 "--family", "independent", "--mode", "limit",
+                                 "--point", "0.5,0.5,0,0")
+        assert code == 2 and out == ""
+        assert "not interior" in err
+
     def test_empty_condition_is_an_error_not_a_warning(self, capsys):
         # P(x=0|y=0) at a = c = 0 is 0/0: one error line, no numpy warning
         with warnings.catch_warnings():

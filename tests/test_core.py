@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isograd import core
 from isograd.core import (
     ConstraintSet,
     DEFAULT_LADDER,
@@ -13,7 +16,7 @@ from isograd.core import (
     GradientResult,
     Limit,
     ProbVector,
-    _null_space,
+    _tangent_basis,
     directed_gradient,
     entropy,
     entropy_of_cells,
@@ -47,13 +50,11 @@ class TestResolve:
     def test_coin_point(self):
         pv = resolve((0.5, 0.5))
         assert pv.free == (0.5,)
-        assert pv.resolved_index == 1
-        assert pv.resolved == 0.5
+        assert pv.probs == (0.5, 0.5)
 
     def test_uniform_square(self):
         pv = resolve((0.25, 0.25, 0.25, 0.25))
         assert pv.free == (0.25, 0.25, 0.25)
-        assert pv.resolved_index == 3
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
@@ -76,11 +77,6 @@ class TestResolve:
         with pytest.raises(BadDimension):
             resolve((1.0,))
 
-    def test_with_free_roundtrip(self):
-        pv = resolve((0.2, 0.3, 0.1, 0.4))
-        again = pv.with_free(pv.free)
-        np.testing.assert_allclose(again.probs, pv.probs, rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, 3])
     def test_non_finite_rejected(self, bad, slot):
@@ -92,7 +88,7 @@ class TestResolve:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_prob_vector_rejects_non_finite(self, bad):
         with pytest.raises(NonFinite, match=repr(bad)):
-            ProbVector((0.5, bad), 1)
+            ProbVector((0.5, bad))
 
 
 class TestSimplexScalars:
@@ -237,6 +233,63 @@ class TestConstrainedGradient:
         np.testing.assert_allclose(res.components, [0.0, 0.0], atol=1e-8)
 
 
+@st.composite
+def jacobians(draw):
+    """1-2 constraint rows over 2-7 coordinates: small integers, some columns
+    zeroed, and a second row that may be a scaled copy of the first."""
+    n = draw(st.integers(2, 7))
+    entries = st.lists(st.integers(-9, 9).map(float), min_size=n, max_size=n)
+    rows = [draw(entries)]
+    kind = draw(st.sampled_from(("one", "free", "copy")))
+    if kind == "free":
+        rows.append(draw(entries))
+    elif kind == "copy":
+        scale = draw(st.sampled_from((1.0, -1.0, 2.0, -0.5, 3.0, 1e-3)))
+        rows.append([scale * v for v in rows[0]])
+    jac = np.array(rows)
+    jac[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    return jac
+
+
+class TestTangentBasis:
+    def test_ad_equals_bc_basis_is_canonical(self):
+        # at (0.36, .24, .24, .16) the normal of ad = bc is (-0.2, -0.6, -0.6):
+        # e_1 minus its normal part, (0.973329, -0.162221, -0.162221), then
+        # (0, 1, -1)/sqrt(2); e_3 is spanned already
+        cs = ConstraintSet((
+            (lambda x: float(x[0] * (1 - x[0] - x[1] - x[2]) - x[1] * x[2]),
+             0.0),), "ad=bc")
+        res = gradient(joint_entropy, resolve((0.36, 0.24, 0.24, 0.16)),
+                       Constrained(cs))
+        first = np.array([0.72, -0.12, -0.12]) / math.sqrt(0.5472)
+        np.testing.assert_allclose(
+            res.basis, [first, (0.0, 1.0 / SQRT2, -1.0 / SQRT2)],
+            rtol=0, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(jacobians())
+    def test_orthonormal_tangent_columns_of_the_right_count(self, jac):
+        basis = _tangent_basis(jac)
+        n = jac.shape[1]
+        assert basis.shape == (n, n - np.linalg.matrix_rank(jac))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jac @ basis, 0.0, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(jac).max()))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pins_leave_exactly_the_remaining_axes(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.dirichlet(np.ones(n + 1))[:n]
+            pinned = sorted(rng.choice(n, size=rng.integers(1, n + 1),
+                                       replace=False).tolist())
+            cs = ConstraintSet.pin({i: x[i] for i in pinned})
+            basis = _tangent_basis(cs.jacobian(x))
+            keep = [i for i in range(n) if i not in pinned]
+            assert basis.tobytes() == np.eye(n)[:, keep].tobytes()
+
+
 class TestLimitGradient:
     DIVE_DIR = (0.0, 1.0 / SQRT2, 1.0 / SQRT2)
 
@@ -269,10 +322,11 @@ class TestLimitGradient:
             np.testing.assert_allclose(
                 res.components, [0.0, 1 - 2 * a, -(1 - 2 * a)], atol=1e-7)
 
-    def test_classification_stable_under_ladder_shrink(self):
+    def test_classification_stable_under_ladder_shrink(self, monkeypatch):
         shrunk = tuple(e / 10.0 for e in (1e-3, 1e-4, 1e-5))
+        monkeypatch.setattr(core, "DEFAULT_LADDER", shrunk)
         res = gradient(joint_entropy, resolve((0.5, 0.0, 0.0, 0.5)),
-                       Limit(self.DIVE_DIR, epsilons=shrunk))
+                       Limit(self.DIVE_DIR))
         assert res.kind == "diverging"
 
         def vx_minus_vy(x):
@@ -281,34 +335,31 @@ class TestLimitGradient:
             return (c + d) * (a + b) - (b + d) * (a + c)
 
         res = gradient(vx_minus_vy, resolve((0.3, 0.0, 0.0, 0.7)),
-                       Limit(self.DIVE_DIR, epsilons=shrunk))
+                       Limit(self.DIVE_DIR))
         assert res.kind == "finite"
         np.testing.assert_allclose(res.components, [0.0, 0.4, -0.4], atol=1e-7)
 
     def test_ladder_validation(self):
-        with pytest.raises(PreconditionError):
-            Limit(self.DIVE_DIR, epsilons=(1e-3,))
-        with pytest.raises(PreconditionError):
-            Limit(self.DIVE_DIR, epsilons=(1e-4, 1e-3, 1e-5))
-        with pytest.raises(PreconditionError):
-            Limit(self.DIVE_DIR, epsilons=(1e-3, 0.0))
+        # every Limit walks the one ladder: strictly decreasing and positive
+        assert len(DEFAULT_LADDER) >= 2 and min(DEFAULT_LADDER) > 0
+        assert all(a > b for a, b in zip(DEFAULT_LADDER, DEFAULT_LADDER[1:]))
         with pytest.raises(PreconditionError):
             Limit((0.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("direction, epsilons", [
-        ((math.nan,), DEFAULT_LADDER),
-        ((math.inf,), DEFAULT_LADDER),
-        ((1.0,), (1e-3, math.nan)),
-        ((1.0,), (math.inf, 1e-3)),
-    ])
-    def test_non_finite_parameters_rejected(self, direction, epsilons):
+    @pytest.mark.parametrize("direction", [(math.nan,), (math.inf,)])
+    def test_non_finite_parameters_rejected(self, direction):
         with pytest.raises(NonFinite):
-            Limit(direction, epsilons)
+            Limit(direction)
 
     def test_probe_must_stay_interior(self):
+        # leaving through a free cell (b, c < 0) and through the resolved
+        # cell (a + b > 1) are both refused as not interior
         away = (0.0, -1.0 / SQRT2, -1.0 / SQRT2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not interior"):
             gradient(joint_entropy, resolve((0.5, 0.0, 0.0, 0.5)), Limit(away))
+        with pytest.raises(PreconditionError, match="not interior"):
+            gradient(joint_entropy, resolve((0.3, 0.7, 0.0)),
+                     Limit((1.0 / SQRT2, 1.0 / SQRT2)))
 
     def test_probe_along_a_face_is_not_interior(self):
         # the first free coordinate stays 0 on every rung
@@ -347,7 +398,7 @@ class TestModeNamed:
 
     def test_limit_approaches_along_the_direction(self):
         mode = mode_named("limit", self.PIN, (0.0, 1.0))
-        assert mode == Limit((0.0, 1.0), DEFAULT_LADDER)
+        assert mode == Limit((0.0, 1.0))
         with pytest.raises(PreconditionError, match="direction"):
             mode_named("limit", self.PIN)
 
@@ -374,8 +425,8 @@ class TestEntropyStationarity:
 
 
 class TestSharedFormulas:
-    """xlogx, the cell entropy and the null space are bitwise the SciPy and
-    numpy forms they replaced."""
+    """xlogx and the cell entropy are bitwise the SciPy and numpy forms they
+    replaced."""
 
     def test_xlogx_matches_xlogy_bitwise(self):
         xlogy = pytest.importorskip("scipy.special").xlogy
@@ -398,18 +449,6 @@ class TestSharedFormulas:
             cells[::7, 0] = 0.0
             for c in cells:
                 assert entropy_of_cells(c) == float(-xlogy(c, c).sum())
-
-    def test_null_space_matches_scipy_bitwise(self):
-        null_space = pytest.importorskip("scipy.linalg").null_space
-        rng = np.random.default_rng(11)
-        for shape in ((1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3)):
-            for i in range(300):
-                a = rng.normal(size=shape)
-                if i % 3 == 0:
-                    a[:, rng.integers(shape[1])] = 0.0
-                got, want = _null_space(a), null_space(a)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
 
 
 class TestGradientResult:
