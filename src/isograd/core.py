@@ -19,6 +19,11 @@ Two distinct differentiation rules are implemented:
 The two rules agree on unconstrained interiors and disagree exactly where the
 case studies in the rest of the package say they should.
 
+``gradients(f, at, mode)`` differentiates a statistic ``f`` with several
+outputs in one pass: every probe point is evaluated once for all outputs,
+the tangent basis is built once, and result k is bitwise what ``gradient``
+returns for output k alone.  ``gradient`` is that call with one output.
+
 The shared formulas live here once: ``xlogx`` for every entropy, the tangent
 basis of a constraint Jacobian, and the central-difference loop.  So do the
 two SciPy searches the optimizers polish with, which import SciPy on their
@@ -256,21 +261,30 @@ class GradientResult:
         """A finite result over the tangent basis whose columns are ``basis``."""
         return GradientResult(
             kind="finite", components=tuple(float(v) for v in components),
-            basis=tuple(tuple(float(v) for v in col) for col in basis.T))
+            basis=_tuples(basis.T))
+
+
+def _tuples(rows) -> tuple[tuple[float, ...], ...]:
+    """Rows of floats as tuples, the form results carry."""
+    return tuple(tuple(float(v) for v in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # differentiation primitives
 
 
-def _eval(f: Callable[[np.ndarray], float], x: np.ndarray) -> float:
+def _eval(f: Callable[[np.ndarray], Sequence[float]],
+          x: np.ndarray) -> np.ndarray:
+    """Every output of ``f`` at ``x``; a DomainError names the first that
+    is not finite."""
     try:
-        v = float(f(np.asarray(x, dtype=float)))
+        values = [float(v) for v in f(np.asarray(x, dtype=float))]
     except (ZeroDivisionError, FloatingPointError, OverflowError, ValueError) as exc:
         raise DomainError(f"function not evaluable at {np.asarray(x)}: {exc}") from exc
-    if not math.isfinite(v):
-        raise DomainError(f"function not finite at {np.asarray(x)}: {v!r}")
-    return v
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"function not finite at {np.asarray(x)}: {v!r}")
+    return np.array(values)
 
 
 def _free_coords(at) -> np.ndarray:
@@ -279,18 +293,21 @@ def _free_coords(at) -> np.ndarray:
     return np.asarray(at, dtype=float)
 
 
-def _central(f: Callable[[np.ndarray], float], x: np.ndarray,
+def _central(f: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
              steps: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of ``f`` at ``x`` along each row of ``steps``."""
-    return np.array([(_eval(f, x + s) - _eval(f, x - s)) / (2.0 * h)
-                     for s in steps], dtype=float)
+    """Central differences of every output of ``f`` at ``x`` along each row
+    of ``steps``: one row per output, one column per step."""
+    diffs = [(_eval(f, x + s) - _eval(f, x - s)) / (2.0 * h) for s in steps]
+    if not diffs:   # nothing to step along: f at x still counts the outputs
+        return np.empty((len(_eval(f, x)), 0))
+    return np.stack(diffs, axis=1)
 
 
 def finite_difference(f: Callable[[np.ndarray], float], at,
                       h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient over the free coordinates."""
     x = _free_coords(at)
-    return _central(f, x, h * np.eye(x.size), h)
+    return _central(lambda y: (f(y),), x, h * np.eye(x.size), h)[0]
 
 
 def _along(mode: Limit, x: np.ndarray) -> np.ndarray:
@@ -312,7 +329,7 @@ def directed_gradient(f: Callable[[np.ndarray], float], at,
     """
     x = _free_coords(at)
     d = _along(Limit(tuple(direction)), x)
-    return float(_central(f, x, (FD_STEP * d,), FD_STEP)[0])
+    return float(_central(lambda y: (f(y),), x, (FD_STEP * d,), FD_STEP)[0, 0])
 
 
 def _tangent_basis(jac: np.ndarray) -> np.ndarray:
@@ -365,9 +382,33 @@ def _classify_ladder(grads: list[np.ndarray]):
     return "undefined"
 
 
-def gradient(f: Callable[[np.ndarray], float], at,
-             mode: GradientMode) -> GradientResult:
-    """Gradient of ``f`` at ``at`` under the requested semantics."""
+def _limit_result(grads: Sequence[np.ndarray]) -> GradientResult:
+    """One output's Limit result from its gradients down the ladder."""
+    ladder = _tuples(grads)
+    kind = _classify_ladder(grads)
+    if kind == "finite":
+        # linear model g(eps) = g0 + c*eps fitted to the last two rungs
+        e_prev, e_last = DEFAULT_LADDER[-2:]
+        lim = grads[-1] + (grads[-1] - grads[-2]) * (e_last / (e_prev - e_last))
+        return GradientResult(kind="finite",
+                              components=tuple(float(v) for v in lim),
+                              ladder=ladder)
+    if kind == "diverging":
+        tail = grads[-1]
+        nrm = float(np.linalg.norm(tail))
+        direction = tuple(float(v) for v in (tail / nrm)) if nrm > 0 else None
+        return GradientResult(kind="diverging", blowup_direction=direction,
+                              ladder=ladder)
+    return GradientResult(kind="undefined", ladder=ladder)
+
+
+def gradients(f: Callable[[np.ndarray], Sequence[float]], at,
+              mode: GradientMode) -> list[GradientResult]:
+    """Gradients of every output of ``f`` at ``at`` under one semantics.
+
+    The probes are shared: ``f`` is evaluated once per probe point, and
+    result k is what :func:`gradient` returns for output k alone.
+    """
     x = _free_coords(at)
 
     if isinstance(mode, Constrained):
@@ -376,8 +417,9 @@ def gradient(f: Callable[[np.ndarray], float], at,
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
         basis = _tangent_basis(cs.jacobian(x))
-        comps = _central(f, x, FD_STEP * basis.T, FD_STEP)
-        return GradientResult.finite(comps, basis)
+        columns = _tuples(basis.T)
+        return [GradientResult(kind="finite", components=comps, basis=columns)
+                for comps in _tuples(_central(f, x, FD_STEP * basis.T, FD_STEP))]
 
     if isinstance(mode, Limit):
         d = _along(mode, x)
@@ -389,26 +431,19 @@ def gradient(f: Callable[[np.ndarray], float], at,
                         f"at + {eps:g}*direction is not interior to the simplex")
         # the FD step is at most a twentieth of the rung, so every probe
         # keeps to the rung's side of the boundary it approaches
-        grads = [finite_difference(f, x + eps * d, h=min(FD_STEP, eps / 20.0))
-                 for eps in DEFAULT_LADDER]
-        ladder = tuple(tuple(float(v) for v in g) for g in grads)
-        kind = _classify_ladder(grads)
-        if kind == "finite":
-            # linear model g(eps) = g0 + c*eps fitted to the last two rungs
-            e_prev, e_last = DEFAULT_LADDER[-2:]
-            lim = grads[-1] + (grads[-1] - grads[-2]) * (e_last / (e_prev - e_last))
-            return GradientResult(kind="finite",
-                                  components=tuple(float(v) for v in lim),
-                                  ladder=ladder)
-        if kind == "diverging":
-            tail = grads[-1]
-            nrm = float(np.linalg.norm(tail))
-            direction = tuple(float(v) for v in (tail / nrm)) if nrm > 0 else None
-            return GradientResult(kind="diverging", blowup_direction=direction,
-                                  ladder=ladder)
-        return GradientResult(kind="undefined", ladder=ladder)
+        rungs = []
+        for eps in DEFAULT_LADDER:
+            h = min(FD_STEP, eps / 20.0)
+            rungs.append(_central(f, x + eps * d, h * np.eye(x.size), h))
+        return [_limit_result(grads) for grads in zip(*rungs)]
 
     raise PreconditionError(f"unknown gradient mode: {mode!r}")
+
+
+def gradient(f: Callable[[np.ndarray], float], at,
+             mode: GradientMode) -> GradientResult:
+    """Gradient of ``f`` at ``at`` under the requested semantics."""
+    return gradients(lambda x: (f(x),), at, mode)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .core import (
     ProbVector,
     entropy_of_cells,
     gradient,
+    gradients,
     mode_named,
     resolve,
 )
@@ -192,10 +193,14 @@ def _pullback(p: JointPoint, mode: str, what: str):
     probs = np.array(p.probs)
     if np.any(np.delete(probs, live)):
         raise InfeasiblePoint(f"{mode} {what} needs b = c = 0")
-    if np.any(probs[live] <= 0.0):
-        raise DomainError(f"{mode} {what} needs "
-                          + ", ".join("abcd"[i] for i in live) + " > 0")
+    _require_positive(probs, live, f"{mode} {what}")
     return J, _CELL_JACOBIAN[live] @ J, probs[live]
+
+
+def _require_positive(probs: np.ndarray, live, what: str) -> None:
+    if np.any(probs[live] <= 0.0):
+        raise DomainError(f"{what} needs "
+                          + ", ".join("abcd"[i] for i in live) + " > 0")
 
 
 def _live_counts(counts: CountData, mode: str) -> np.ndarray:
@@ -288,11 +293,13 @@ _INDEPENDENT_RELATIONS = (
     ("E_xy-E_x-E_y", lambda j: entropy_xy(j) - entropy_x(j) - entropy_y(j)),
 )
 
+# family -> (relations, constraints, limit approach, cells a point of the
+# family keeps positive for the constrained probes to stay in the simplex)
 FAMILIES = {
     "correlated": (_CORRELATED_RELATIONS, CORRELATED_CONSTRAINTS,
-                   CORRELATED_DIRECTION),
+                   CORRELATED_DIRECTION, [0, 3]),
     "independent": (_INDEPENDENT_RELATIONS, INDEPENDENT_CONSTRAINTS,
-                    INDEPENDENT_DIRECTION),
+                    INDEPENDENT_DIRECTION, [0, 1, 2, 3]),
 }
 
 
@@ -301,19 +308,24 @@ def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
     """Gradients of every family relation at ``p`` under one semantics.
 
     Constrained mode returns zero vectors (the relations hold identically on
-    the family manifold); limit mode returns the ambient gradients along the
-    approach (by default off the family), which stay nonzero or outright
-    diverge.  Unconstrained mode needs every cell positive.
+    the family manifold) and needs the family's live cells positive; limit
+    mode returns the ambient gradients along the approach (by default off
+    the family), which stay nonzero or outright diverge.  Unconstrained mode
+    needs every cell positive.  One vector gradient covers all relations.
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
-    relations, constraints, approach = FAMILIES[family]
+    relations, constraints, approach, live = FAMILIES[family]
     if mode == "unconstrained":
         _pullback(p, mode, "relation gradient")
+    elif mode == "constrained" and constraints.satisfied(p.free_array()):
+        _require_positive(np.array(p.probs), live,
+                          "constrained relation gradient")
     m = mode_named(mode, constraints,
                    approach if direction is None else direction)
-    out = []
-    for label, rel in relations:
-        f = lambda x, rel=rel: float(rel(joint_from_free(x)))
-        out.append((label, gradient(f, p.pv, m)))
-    return out
+
+    def values(x):
+        j = joint_from_free(x)
+        return [float(rel(j)) for _, rel in relations]
+    return [(label, res) for (label, _), res
+            in zip(relations, gradients(values, p.pv, m))]

@@ -392,6 +392,22 @@ class TestJointOps:
         assert code == 2 and out == ""
         assert "not interior" in err
 
+    @pytest.mark.parametrize("family, point, cells", [
+        ("independent", "0.5,0.5,0,0", "a, b, c, d"),
+        ("independent", "0.3,0.7,0,0", "a, b, c, d"),
+        ("correlated", "1,0,0,0", "a, d"),
+    ])
+    def test_constrained_relations_need_positive_live_cells(
+            self, capsys, family, point, cells):
+        # on the family but on the simplex boundary: the tangent probes would
+        # step a cell below 0, so the point is refused before any probe
+        code, out, err = run_cli(capsys, "joint", "--op", "relations",
+                                 "--mode", "constrained", "--family", family,
+                                 "--point", point)
+        assert code == 2 and out == ""
+        assert err == ("error: constrained relation gradient needs "
+                       f"{cells} > 0\n")
+
     def test_empty_condition_is_an_error_not_a_warning(self, capsys):
         # P(x=0|y=0) at a = c = 0 is 0/0: one error line, no numpy warning
         with warnings.catch_warnings():

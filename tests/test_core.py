@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isograd import core
@@ -23,6 +23,7 @@ from isograd.core import (
     entropy_of_free,
     finite_difference,
     gradient,
+    gradients,
     mode_named,
     resolve,
     simplex_volume,
@@ -384,6 +385,92 @@ class TestLimitGradient:
                        Limit(self.DIVE_DIR))
         assert len(res.ladder) == 3
         assert res.max_ladder_magnitude > 1.0
+
+
+@st.composite
+def statistics(draw, n):
+    """A statistic of n free coordinates: a polynomial with small integer
+    coefficients, the cell entropy, or the entropy of a two-cell merge."""
+    kind = draw(st.sampled_from(("polynomial", "entropy", "merged")))
+    if kind == "polynomial":
+        coeffs = st.lists(st.integers(-3, 3).map(float),
+                          min_size=n * n + n, max_size=n * n + n)
+        c = np.array(draw(coeffs))
+        quad, lin = c[:n * n].reshape(n, n), c[n * n:]
+        return lambda x: float(x @ quad @ x + lin @ x + x[0] ** 3)
+    if kind == "entropy":
+        return entropy_of_free
+    return lambda x: entropy_of_cells((x[0] + x[-1], 1.0 - x[0] - x[-1]))
+
+
+@st.composite
+def vector_problems(draw):
+    """(statistics, point, mode): 1-4 statistics on 2-4 free coordinates,
+    under a pin, under ad = bc, with no constraints, or along a random unit
+    approach direction."""
+    how = draw(st.sampled_from(("pin", "ad=bc", "none", "limit")))
+    n = 3 if how == "ad=bc" else draw(st.integers(2, 4))
+    stats = draw(st.lists(statistics(n), min_size=1, max_size=4))
+    if how == "ad=bc":
+        px, py = (draw(st.floats(0.15, 0.85)) for _ in range(2))
+        at = resolve(((1 - px) * (1 - py), (1 - px) * py, px * (1 - py),
+                      px * py))
+        return stats, at, Constrained(ConstraintSet((
+            (lambda x: float(x[0] * (1 - x[0] - x[1] - x[2]) - x[1] * x[2]),
+             0.0),), "ad=bc"))
+    weights = draw(st.lists(st.floats(1.0, 10.0), min_size=n + 1,
+                            max_size=n + 1))
+    at = resolve([w / math.fsum(weights) for w in weights])
+    if how == "pin":
+        pinned = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=n, unique=True))
+        return stats, at, Constrained(
+            ConstraintSet.pin({i: at.probs[i] for i in pinned}))
+    if how == "none":
+        return stats, at, Constrained()
+    d = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                               max_size=n)))
+    assume(np.linalg.norm(d) > 0.1)
+    return stats, at, Limit(tuple(d / np.linalg.norm(d)))
+
+
+class TestGradients:
+    """One vector gradient is bitwise the scalar gradient of each output."""
+
+    @staticmethod
+    def assert_each_output_alone(stats, at, mode):
+        together = gradients(lambda x: [f(x) for f in stats], at, mode)
+        alone = [gradient(f, at, mode) for f in stats]
+        assert [repr(r) for r in together] == [repr(r) for r in alone]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(vector_problems())
+    def test_each_output_is_its_scalar_gradient(self, problem):
+        self.assert_each_output_alone(*problem)
+
+    def test_diverging_and_undefined_ladders(self):
+        stats = [lambda x: x[0] * math.log(x[0]),
+                 lambda x: math.sin(1.0 / x[0]),
+                 lambda x: x[0] ** 2]
+        results = gradients(lambda x: [f(x) for f in stats], [0.0],
+                            Limit((1.0,)))
+        assert [r.kind for r in results] == ["diverging", "undefined",
+                                             "finite"]
+        self.assert_each_output_alone(stats, [0.0], Limit((1.0,)))
+
+    def test_no_tangent_direction_gives_empty_components(self):
+        at = resolve((0.2, 0.3, 0.5))
+        mode = Constrained(ConstraintSet.pin({0: 0.2, 1: 0.3}))
+        results = gradients(lambda x: (x[0], x[1] ** 2), at, mode)
+        assert [(r.components, r.basis) for r in results] == [((), ())] * 2
+        self.assert_each_output_alone([lambda x: x[0]], at, mode)
+
+    @pytest.mark.parametrize("mode", [Constrained(), Limit((1.0,))])
+    def test_a_domain_error_in_any_output_propagates(self, mode):
+        with pytest.raises(DomainError, match="not evaluable"):
+            gradients(lambda x: (x[0], math.log(x[0] - 0.5)), [0.3], mode)
+        with pytest.raises(DomainError, match=r"not finite at .*: nan$"):
+            gradients(lambda x: (x[0], math.nan, math.inf), [0.3], mode)
 
 
 class TestModeNamed:

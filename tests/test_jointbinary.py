@@ -10,6 +10,7 @@ from isograd.core import (
     ConstraintSet,
     finite_difference,
     gradient,
+    mode_named,
 )
 from isograd.errors import (
     DegenerateMarginal,
@@ -22,6 +23,7 @@ from isograd.errors import (
     PreconditionError,
 )
 from isograd.jointbinary import (
+    FAMILIES,
     CountData,
     JointPoint,
     conditional_x0_given_y,
@@ -409,6 +411,16 @@ class TestRelationSuiteCorrelated:
             res = suite["rho_xy-1"]
             assert res.kind == "diverging" or res.max_ladder_magnitude > 1e-6
 
+    def test_relations_share_the_probes(self, eval_calls):
+        # 3 rungs x 2 x 3 probes for all four relations; one by one, 72
+        relation_suite(self.POINTS[0], "correlated", "limit")
+        assert eval_calls == [18]
+
+    def test_each_relation_is_its_scalar_gradient(self):
+        for mode in ("constrained", "limit"):
+            for p in self.POINTS:
+                assert_relations_alone(p, "correlated", mode)
+
 
 class TestRelationSuiteIndependent:
     UNIFORM = JointPoint(0.25, 0.25, 0.25, 0.25)
@@ -439,3 +451,18 @@ class TestRelationSuiteIndependent:
     def test_unknown_family(self):
         with pytest.raises(PreconditionError):
             relation_suite(self.UNIFORM, "anticorrelated", "constrained")
+
+    def test_each_relation_is_its_scalar_gradient(self):
+        for mode in ("constrained", "unconstrained", "limit"):
+            for p in (self.UNIFORM, self.SKEWED):
+                assert_relations_alone(p, "independent", mode)
+
+
+def assert_relations_alone(p, family, mode):
+    """The suite's results are bitwise each relation's own gradient."""
+    relations, constraints, approach, _ = FAMILIES[family]
+    m = mode_named(mode, constraints, approach)
+    alone = [(label, gradient(
+        lambda x, rel=rel: float(rel(joint_from_free(x))), p.pv, m))
+        for label, rel in relations]
+    assert repr(relation_suite(p, family, mode)) == repr(alone)

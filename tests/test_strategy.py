@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from isograd import jointbinary
+from isograd.core import gradient
 from isograd.errors import DegenerateMarginal, OutOfRange, PreconditionError
 from isograd.strategy import (
+    CASES,
     BehaviouralPoint,
     MixedPoint,
     behavioural_correlation,
@@ -269,3 +271,26 @@ class TestTablePlumbing:
         assert len(d["entries"]) == 36
         assert all(set(e) >= {"row", "column", "expected", "passed"}
                    for e in d["entries"])
+
+    @pytest.mark.parametrize("case, evals", [("correlated", 46),
+                                             ("independent", 50)])
+    def test_rows_share_the_probes(self, eval_calls, case, evals):
+        # one probe pass per column for all rows; row by row it took 460
+        # (10 rows) and 450 (9 rows)
+        table1(case, n_samples=1)
+        assert eval_calls == [evals]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_entries_match_per_cell_gradients(self, case, seed):
+        rows, columns = CASES[case]
+        samples = sample_points(case, 20, seed)
+        report = table1(case, n_samples=20, seed=seed)
+        for row in rows:
+            for col in columns:
+                rel = lambda z: float(row.relation(col.joint_of(z)))
+                alone = [gradient(rel, col.point_of(s), col.mode)
+                         for s in samples]
+                entry = report.entry(row.label, col.name)
+                assert entry.kinds == tuple(sorted({r.kind for r in alone}))
+                assert repr(entry.components) == repr(alone[0].components)
