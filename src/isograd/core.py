@@ -24,8 +24,9 @@ outputs in one pass: every probe point is evaluated once for all outputs,
 the tangent basis is built once, and result k is bitwise what ``gradient``
 returns for output k alone.  ``gradient`` is that call with one output.
 
-The shared formulas live here once: ``xlogx`` for every entropy, the tangent
-basis of a constraint Jacobian, and the central-difference loop.  So do the
+The shared formulas live here once: ``xlogx`` for every entropy, the
+Euclidean norm of every gradient, the tangent basis of a constraint Jacobian,
+and the central-difference loop.  So do the
 two SciPy searches the optimizers polish with, which import SciPy on their
 first call: ``import isograd`` loads numpy and the standard library only.
 """
@@ -188,8 +189,7 @@ class Limit:
 
     def __post_init__(self):
         require_finite(self.direction)
-        d = np.asarray(self.direction, dtype=float)
-        if d.size == 0 or abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+        if len(self.direction) == 0 or abs(_norm(self.direction) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
 
 
@@ -241,7 +241,7 @@ class GradientResult:
     @property
     def magnitude(self) -> float:
         if self.kind == "finite":
-            return float(np.linalg.norm(self.components))
+            return _norm(self.components)
         if self.kind == "diverging":
             return math.inf
         return math.nan
@@ -251,7 +251,7 @@ class GradientResult:
         """Largest raw gradient norm seen along the approach ladder."""
         if not self.ladder:
             return self.magnitude
-        return max(float(np.linalg.norm(g)) for g in self.ladder)
+        return max(_norm(g) for g in self.ladder)
 
     def __len__(self) -> int:
         return len(self.components) if self.components is not None else 0
@@ -265,8 +265,16 @@ class GradientResult:
 
 
 def _tuples(rows) -> tuple[tuple[float, ...], ...]:
-    """Rows of floats as tuples, the form results carry."""
-    return tuple(tuple(float(v) for v in row) for row in rows)
+    """Rows of an array (or arrays) as tuples of floats, the form results
+    carry."""
+    return tuple(tuple(row.tolist()) for row in rows)
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a vector: numpy's own fast path for a real 1-D
+    ``np.linalg.norm``, so bitwise its result, without the dispatch."""
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(float(v.dot(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +371,8 @@ def _classify_ladder(grads: list[np.ndarray]):
     then the linear-in-epsilon extrapolated limit).  Diverging when the norms
     grow monotonically instead.  Undefined otherwise.
     """
-    norms = [float(np.linalg.norm(g)) for g in grads]
-    diffs = [float(np.linalg.norm(grads[i + 1] - grads[i]))
-             for i in range(len(grads) - 1)]
+    norms = [_norm(g) for g in grads]
+    diffs = [_norm(grads[i + 1] - grads[i]) for i in range(len(grads) - 1)]
     agree = all(d <= LADDER_RTOL * max(norms[i], norms[i + 1]) + LADDER_ATOL
                 for i, d in enumerate(diffs))
     if agree:
@@ -390,13 +397,12 @@ def _limit_result(grads: Sequence[np.ndarray]) -> GradientResult:
         # linear model g(eps) = g0 + c*eps fitted to the last two rungs
         e_prev, e_last = DEFAULT_LADDER[-2:]
         lim = grads[-1] + (grads[-1] - grads[-2]) * (e_last / (e_prev - e_last))
-        return GradientResult(kind="finite",
-                              components=tuple(float(v) for v in lim),
+        return GradientResult(kind="finite", components=tuple(lim.tolist()),
                               ladder=ladder)
     if kind == "diverging":
         tail = grads[-1]
-        nrm = float(np.linalg.norm(tail))
-        direction = tuple(float(v) for v in (tail / nrm)) if nrm > 0 else None
+        nrm = _norm(tail)
+        direction = tuple((tail / nrm).tolist()) if nrm > 0 else None
         return GradientResult(kind="diverging", blowup_direction=direction,
                               ladder=ladder)
     return GradientResult(kind="undefined", ladder=ladder)

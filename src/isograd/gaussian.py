@@ -12,7 +12,9 @@ differentiated two ways:
 
 Pointwise relations are functions of (x, y, mu_x, mu_y, sigma_x, sigma_y,
 rho); the covariance relation integrates x and y out and lives on
-(mu_x, mu_y, sigma_x, sigma_y, rho).
+(mu_x, mu_y, sigma_x, sigma_y, rho).  Relations on the same coordinates are
+the outputs of one statistic, so one ``core.gradients`` call at a point
+differentiates all of them from shared probes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConstraintSet, GradientResult, gradient, mode_named,
+from .core import (ConstraintSet, GradientResult, gradients, mode_named,
                    require_finite)
 from .errors import BadParams, InfeasiblePoint, PreconditionError
 
@@ -140,33 +142,36 @@ def quadrature_expectation(params: NormalParams, f) -> float:
 # ---------------------------------------------------------------------------
 # gradient relations
 
-def _pointwise_joint_minus_product(z) -> float:
+def _pointwise(z) -> tuple[float, float]:
+    """P_xy - P_x P_y and P_x|y - P_x at (x, y, mu_x, mu_y, sigma_x,
+    sigma_y, rho), sharing the marginal density of x."""
     x, y, mx, my, sx, sy, r = (float(v) for v in z)
-    return float(_joint(x, y, mx, my, sx, sy, r)
-                 - _normal(x, mx, sx) * _normal(y, my, sy))
+    px = _normal(x, mx, sx)
+    return (float(_joint(x, y, mx, my, sx, sy, r) - px * _normal(y, my, sy)),
+            float(_conditional(x, y, mx, my, sx, sy, r) - px))
 
 
-def _pointwise_conditional_minus_marginal(z) -> float:
-    x, y, mx, my, sx, sy, r = (float(v) for v in z)
-    return float(_conditional(x, y, mx, my, sx, sy, r) - _normal(x, mx, sx))
-
-
-def _expectation_covariance(z) -> float:
+def _expectation(z) -> tuple[float]:
+    """<xy> - <x><y> at (mu_x, mu_y, sigma_x, sigma_y, rho)."""
     moments = _moments(*(float(v) for v in z))
-    return moments["<xy>"] - moments["<x>"] * moments["<y>"]
+    return (moments["<xy>"] - moments["<x>"] * moments["<y>"],)
 
 
-RELATIONS = {
-    "P_xy-P_xP_y": ("pointwise", _pointwise_joint_minus_product),
-    "P_x|y-P_x": ("pointwise", _pointwise_conditional_minus_marginal),
-    "<xy>-<x><y>": ("expectation", _expectation_covariance),
+#: kind -> (the statistic on the kind's coordinates, the relations it
+#: outputs, in order)
+STATISTICS = {
+    "pointwise": (_pointwise, ("P_xy-P_xP_y", "P_x|y-P_x")),
+    "expectation": (_expectation, ("<xy>-<x><y>",)),
 }
+#: relation -> kind
+RELATIONS = {relation: kind for kind, (_, relations) in STATISTICS.items()
+             for relation in relations}
 
 
 def analytic_rho_derivative(params: NormalParams, relation: str,
                             probe=None) -> float:
     """d/d(rho) of the relation at rho = 0, in closed form."""
-    kind, _ = _lookup(relation)
+    kind = _lookup(relation)
     if kind == "expectation":
         return params.sigma_x * params.sigma_y
     x, y = probe
@@ -178,11 +183,34 @@ def analytic_rho_derivative(params: NormalParams, relation: str,
     return float(_normal(x, params.mu_x, params.sigma_x) * u * v)
 
 
-def _lookup(relation: str):
+def _lookup(relation: str) -> str:
     if relation not in RELATIONS:
         raise PreconditionError(f"unknown relation {relation!r}; "
                                 f"one of {sorted(RELATIONS)}")
     return RELATIONS[relation]
+
+
+def _require_rho_zero(params: NormalParams) -> None:
+    if params.rho != 0.0:
+        raise InfeasiblePoint("relations are evaluated at rho = 0")
+
+
+def _kind_gradients(params: NormalParams, kind: str, mode: str,
+                    probe) -> list[GradientResult]:
+    """Gradients of every relation of one kind, in :data:`STATISTICS`
+    order, from one shared-probe call at ``params`` (and ``probe``)."""
+    if kind == "pointwise":
+        z = np.concatenate(([probe[0], probe[1]], params.as_array()))
+    else:
+        z = params.as_array()
+    if mode == "unconstrained":
+        raise PreconditionError("gaussian relations are read constrained "
+                                "(rho = 0 pinned) or as a limit in rho")
+    rho_index = z.size - 1
+    direction = np.zeros(z.size)
+    direction[rho_index] = 1.0
+    return gradients(STATISTICS[kind][0], z, mode_named(
+        mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
 
 
 def relation_gradients(params: NormalParams, relation: str,
@@ -192,25 +220,14 @@ def relation_gradients(params: NormalParams, relation: str,
     The point of evaluation always has rho = 0; limit mode supplies the
     nonzero rho itself, rung by rung.
     """
-    kind, fn = _lookup(relation)
-    if params.rho != 0.0:
-        raise InfeasiblePoint("relations are evaluated at rho = 0")
-    if kind == "pointwise":
-        if probe is None:
-            raise PreconditionError(f"{relation} needs a probe (x, y)")
-        z = np.concatenate(([probe[0], probe[1]], params.as_array()))
-    else:
-        if probe is not None:
-            raise PreconditionError(f"{relation} takes no probe")
-        z = params.as_array()
-    if mode == "unconstrained":
-        raise PreconditionError("gaussian relations are read constrained "
-                                "(rho = 0 pinned) or as a limit in rho")
-    rho_index = z.size - 1
-    direction = np.zeros(z.size)
-    direction[rho_index] = 1.0
-    return gradient(fn, z, mode_named(
-        mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
+    kind = _lookup(relation)
+    _require_rho_zero(params)
+    if kind == "pointwise" and probe is None:
+        raise PreconditionError(f"{relation} needs a probe (x, y)")
+    if kind != "pointwise" and probe is not None:
+        raise PreconditionError(f"{relation} takes no probe")
+    results = _kind_gradients(params, kind, mode, probe)
+    return results[STATISTICS[kind][1].index(relation)]
 
 
 def rho_component(result: GradientResult) -> float:
@@ -249,28 +266,33 @@ def check_suite(params: NormalParams = DEFAULT_PARAMS,
     Pointwise relations are probed on :func:`probe_grid`.  A constrained row
     passes when its worst gradient norm is below ``tol`` (default 1e-6); a
     limit row when every rho-component is within ``tol`` (default 1e-4) of
-    the closed form and the largest exceeds 1e-3.
+    the closed form and the largest exceeds 1e-3.  Relations of one kind are
+    differentiated together, one call per probe and semantics.
     """
+    _require_rho_zero(params)
     rows = []
-    for relation, (kind, _) in RELATIONS.items():
+    for kind, (_, relations) in STATISTICS.items():
         probe_list = probe_grid(params) if kind == "pointwise" else [None]
-        worst = 0.0
-        for probe in probe_list:
-            res = relation_gradients(params, relation, "constrained", probe)
-            worst = max(worst, res.magnitude)
-        rows.append(RelationCheck(relation, "constrained", worst, None,
-                                  worst < (1e-6 if tol is None else tol)))
-        best, best_expected = 0.0, 0.0
-        errors = []
-        for probe in probe_list:
-            res = relation_gradients(params, relation, "limit", probe)
-            comp = rho_component(res)
-            expected = analytic_rho_derivative(params, relation, probe)
-            errors.append(abs(comp - expected))
-            if abs(comp) > abs(best):
-                best, best_expected = comp, expected
-        passed = (max(errors) < (1e-4 if tol is None else tol)
-                  and abs(best) > 1e-3)
-        rows.append(RelationCheck(relation, "limit", best, best_expected,
-                                  passed))
+        constrained = [_kind_gradients(params, kind, "constrained", probe)
+                       for probe in probe_list]
+        limit = [_kind_gradients(params, kind, "limit", probe)
+                 for probe in probe_list]
+        for k, relation in enumerate(relations):
+            worst = 0.0
+            for results in constrained:
+                worst = max(worst, results[k].magnitude)
+            rows.append(RelationCheck(relation, "constrained", worst, None,
+                                      worst < (1e-6 if tol is None else tol)))
+            best, best_expected = 0.0, 0.0
+            errors = []
+            for probe, results in zip(probe_list, limit):
+                comp = rho_component(results[k])
+                expected = analytic_rho_derivative(params, relation, probe)
+                errors.append(abs(comp - expected))
+                if abs(comp) > abs(best):
+                    best, best_expected = comp, expected
+            passed = (max(errors) < (1e-4 if tol is None else tol)
+                      and abs(best) > 1e-3)
+            rows.append(RelationCheck(relation, "limit", best, best_expected,
+                                      passed))
     return rows

@@ -101,34 +101,34 @@ class BehaviouralPoint:
 # ---------------------------------------------------------------------------
 # induced joints and the representation mapping
 
-def mixed_joint_array(z) -> np.ndarray:
-    """Joint 4-vector from raw (alpha1, beta1, beta2, beta3)."""
-    a1, b1, b2, b3 = (float(v) for v in z)
-    return np.array([
-        (1.0 - a1) * (1.0 - b2 - b3),
-        (1.0 - a1) * (b2 + b3),
-        a1 * (1.0 - b1 - b3),
-        a1 * (b1 + b3),
-    ])
+# joints are tuples of Python floats, not arrays: every table probe builds
+# one and runs ten relations on it, and float64 + - * / round the same either
+# way
+
+def mixed_joint_cells(z) -> tuple[float, float, float, float]:
+    """Joint cells from raw (alpha1, beta1, beta2, beta3)."""
+    a1, b1, b2, b3 = map(float, z)
+    return ((1.0 - a1) * (1.0 - b2 - b3),
+            (1.0 - a1) * (b2 + b3),
+            a1 * (1.0 - b1 - b3),
+            a1 * (b1 + b3))
 
 
-def behavioural_joint_array(z) -> np.ndarray:
-    """Joint 4-vector from raw (p, q, r)."""
-    p, q, r = (float(v) for v in z)
-    return np.array([
-        (1.0 - p) * (1.0 - q),
-        (1.0 - p) * q,
-        p * (1.0 - r),
-        p * r,
-    ])
+def behavioural_joint_cells(z) -> tuple[float, float, float, float]:
+    """Joint cells from raw (p, q, r)."""
+    p, q, r = map(float, z)
+    return ((1.0 - p) * (1.0 - q),
+            (1.0 - p) * q,
+            p * (1.0 - r),
+            p * r)
 
 
 def mixed_joint(m: MixedPoint) -> JointPoint:
-    return JointPoint(*mixed_joint_array(m.as_array()))
+    return JointPoint(*mixed_joint_cells(m.as_array()))
 
 
 def behavioural_joint(b: BehaviouralPoint) -> JointPoint:
-    return JointPoint(*behavioural_joint_array(b.as_array()))
+    return JointPoint(*behavioural_joint_cells(b.as_array()))
 
 
 def behavioural_from_mixed(m: MixedPoint) -> BehaviouralPoint:
@@ -142,9 +142,9 @@ def behavioural_from_mixed(m: MixedPoint) -> BehaviouralPoint:
 def moments(point) -> dict[str, float]:
     """Means, variances and entropies of the joint the point induces."""
     if isinstance(point, MixedPoint):
-        j = mixed_joint_array(point.as_array())
+        j = mixed_joint_cells(point.as_array())
     elif isinstance(point, BehaviouralPoint):
-        j = behavioural_joint_array(point.as_array())
+        j = behavioural_joint_cells(point.as_array())
     else:
         raise PreconditionError(f"unsupported point type {type(point)!r}")
     return {
@@ -161,12 +161,12 @@ def moments(point) -> dict[str, float]:
 
 def mixed_correlation(m: MixedPoint) -> float:
     """sqrt(a1(1-a1)) (b1-b2) / sqrt(V(y)), the induced joint's correlation."""
-    return correlation_of_joint(mixed_joint_array(m.as_array()))
+    return correlation_of_joint(mixed_joint_cells(m.as_array()))
 
 
 def behavioural_correlation(b: BehaviouralPoint) -> float:
     """sqrt(p(1-p)) (r-q) / sqrt(V(y)), the induced joint's correlation."""
-    return correlation_of_joint(behavioural_joint_array(b.as_array()))
+    return correlation_of_joint(behavioural_joint_cells(b.as_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ class ColumnSpec:
     parameters: tuple[str, ...]
     mode: GradientMode
     point_of: object = field(repr=False)      # sample -> coordinate array
-    joint_of: object = field(repr=False)      # coordinates -> joint 4-vector
+    joint_of: object = field(repr=False)      # coordinates -> joint cells
 
     @property
     def kind(self) -> str:
@@ -200,7 +200,7 @@ class RowSpec:
 
     label: str
     group: str
-    relation: object = field(repr=False)      # joint 4-vector -> float
+    relation: object = field(repr=False)      # joint cells -> float
     expected: tuple = field(repr=False)
 
 
@@ -285,11 +285,11 @@ def _k(a: float) -> float:
 
 CORRELATED_ROWS = (
     RowSpec("P(0,0)+P(1,1)", "probability conservation",
-            lambda j: float(j[0] + j[3]),
+            lambda j: j[0] + j[3],
             _correlated(lambda a: (0.0, a, -(1 - a), 2 * a - 1),
                         lambda p: (0.0, -(1 - p), p), ZERO)),
     RowSpec("P(0,1)+P(1,0)", "probability conservation",
-            lambda j: float(j[1] + j[2]),
+            lambda j: j[1] + j[2],
             _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
                         lambda p: (0.0, 1 - p, -p), ZERO)),
     RowSpec("P_x|y(0|0)", "conditionals", lambda j: conditional_x0_given_y(j, 0),
@@ -318,28 +318,28 @@ CORRELATED_ROWS = (
 
 INDEPENDENT_ROWS = (
     RowSpec("P(0,0)-Px(0)Py(0)", "probability",
-            lambda j: float(j[0] - (j[0] + j[1]) * (j[0] + j[2])),
+            lambda j: j[0] - (j[0] + j[1]) * (j[0] + j[2]),
             _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
                          lambda p, q: (0.0, -_k(p), _k(p)))),
     RowSpec("P(0,1)-Px(0)Py(1)", "probability",
-            lambda j: float(j[1] - (j[0] + j[1]) * (j[1] + j[3])),
+            lambda j: j[1] - (j[0] + j[1]) * (j[1] + j[3]),
             _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
                          lambda p, q: (0.0, _k(p), -_k(p)))),
     RowSpec("P(1,0)-Px(1)Py(0)", "probability",
-            lambda j: float(j[2] - (j[2] + j[3]) * (j[0] + j[2])),
+            lambda j: j[2] - (j[2] + j[3]) * (j[0] + j[2]),
             _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
                          lambda p, q: (0.0, _k(p), -_k(p)))),
     RowSpec("P(1,1)-Px(1)Py(1)", "probability",
-            lambda j: float(j[3] - (j[2] + j[3]) * (j[1] + j[3])),
+            lambda j: j[3] - (j[2] + j[3]) * (j[1] + j[3]),
             _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
                          lambda p, q: (0.0, -_k(p), _k(p)))),
     RowSpec("P_x|y(0|0)-Px(0)", "conditionals",
-            lambda j: conditional_x0_given_y(j, 0) - float(j[0] + j[1]),
+            lambda j: conditional_x0_given_y(j, 0) - (j[0] + j[1]),
             _independent(
                 lambda a, bb: (0.0, _k(a) / (1 - bb), -_k(a) / (1 - bb), 0.0),
                 lambda p, q: (0.0, -_k(p) / (1 - q), _k(p) / (1 - q)))),
     RowSpec("P_x|y(0|1)-Px(0)", "conditionals",
-            lambda j: conditional_x0_given_y(j, 1) - float(j[0] + j[1]),
+            lambda j: conditional_x0_given_y(j, 1) - (j[0] + j[1]),
             _independent(lambda a, bb: (0.0, -_k(a) / bb, _k(a) / bb, 0.0),
                          lambda p, q: (0.0, _k(p) / q, -_k(p) / q))),
     RowSpec("<xy>-<x><y>", "expectation", _cov,
@@ -356,16 +356,16 @@ CORRELATED_COLUMNS = (
     ColumnSpec("P_M", ("alpha1", "beta1", "beta2", "beta3"),
                Limit(MIXED_CORR_DIRECTION),
                lambda s: np.array([s["alpha1"], 1.0, 0.0, 0.0]),
-               mixed_joint_array),
+               mixed_joint_cells),
     ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_CORR_DIRECTION),
                lambda s: np.array([s["p"], 0.0, 1.0]),
-               behavioural_joint_array),
+               behavioural_joint_cells),
     ColumnSpec("P_M|beta1=1", ("alpha1",), Constrained(),
                lambda s: np.array([s["alpha1"]]),
-               lambda z: mixed_joint_array((z[0], 1.0, 0.0, 0.0))),
+               lambda z: mixed_joint_cells((z[0], 1.0, 0.0, 0.0))),
     ColumnSpec("P_B|(q,r)=(0,1)", ("p",), Constrained(),
                lambda s: np.array([s["p"]]),
-               lambda z: behavioural_joint_array((z[0], 0.0, 1.0))),
+               lambda z: behavioural_joint_cells((z[0], 0.0, 1.0))),
 )
 
 INDEPENDENT_COLUMNS = (
@@ -373,16 +373,16 @@ INDEPENDENT_COLUMNS = (
                Limit(MIXED_IND_DIRECTION),
                lambda s: np.array([s["alpha1"], s["beta12"], s["beta12"],
                                    s["beta3"]]),
-               mixed_joint_array),
+               mixed_joint_cells),
     ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_IND_DIRECTION),
                lambda s: np.array([s["p"], s["q"], s["q"]]),
-               behavioural_joint_array),
+               behavioural_joint_cells),
     ColumnSpec("P_M|beta1=beta2", ("alpha1", "beta_bar"), Constrained(),
                lambda s: np.array([s["alpha1"], s["beta12"] + s["beta3"]]),
-               lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
+               lambda z: behavioural_joint_cells((z[0], z[1], z[1]))),
     ColumnSpec("P_B|r=q", ("p", "q"), Constrained(),
                lambda s: np.array([s["p"], s["q"]]),
-               lambda z: behavioural_joint_array((z[0], z[1], z[1]))),
+               lambda z: behavioural_joint_cells((z[0], z[1], z[1]))),
 )
 
 CASES = {
@@ -429,12 +429,14 @@ def _evaluate_cell(row: RowSpec, col: ColumnSpec, expected, samples,
         elif not res.is_finite:
             passed = False
         elif pattern == "zero":
-            worst = max(worst, res.magnitude)
-            passed = passed and res.magnitude <= ZERO_TOL
+            mag = res.magnitude
+            worst = max(worst, mag)
+            passed = passed and mag <= ZERO_TOL
         else:   # "components", or "unit": every component is 1
             unit = pattern == "unit"
-            want = 1.0 if unit else np.asarray(expected[1](s), dtype=float)
-            err = float(np.max(np.abs(np.asarray(res.components) - want)))
+            want = (1.0,) * len(res) if unit else expected[1](s)
+            err = max(abs(c - w)
+                      for c, w in zip(res.components, want, strict=True))
             worst = max(worst, err)
             passed = passed and err <= (ZERO_TOL if unit else COMPONENT_TOL)
     return TableEntry(
@@ -452,7 +454,7 @@ def _column_gradients(rows, col: ColumnSpec, samples) -> list[list]:
     sample.  Each probe builds the joint once and evaluates all rows on it."""
     def relations(z):
         j = col.joint_of(z)
-        return [float(row.relation(j)) for row in rows]
+        return [row.relation(j) for row in rows]
     per_sample = [gradients(relations, col.point_of(s), col.mode)
                   for s in samples]
     return [[results[r] for results in per_sample] for r in range(len(rows))]

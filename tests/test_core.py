@@ -511,9 +511,18 @@ class TestEntropyStationarity:
         np.testing.assert_allclose(res.components, np.zeros(3), atol=1e-7)
 
 
+def spread_floats():
+    """Zero, or a float of either sign with magnitude in [1e-300, 1e150)."""
+    scaled = st.builds(
+        lambda m, e, sign: sign * m * 10.0 ** e,
+        st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 149),
+        st.sampled_from((1.0, -1.0)))
+    return st.just(0.0) | scaled
+
+
 class TestSharedFormulas:
-    """xlogx and the cell entropy are bitwise the SciPy and numpy forms they
-    replaced."""
+    """xlogx, the cell entropy and the norm are bitwise the SciPy and numpy
+    forms they replaced."""
 
     def test_xlogx_matches_xlogy_bitwise(self):
         xlogy = pytest.importorskip("scipy.special").xlogy
@@ -536,6 +545,13 @@ class TestSharedFormulas:
             cells[::7, 0] = 0.0
             for c in cells:
                 assert entropy_of_cells(c) == float(-xlogy(c, c).sum())
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(spread_floats(), max_size=7))
+    def test_norm_matches_numpy_norm_bitwise(self, components):
+        v = np.array(components, dtype=float)
+        assert core._norm(v) == np.linalg.norm(v)
+        assert core._norm(tuple(components)) == np.linalg.norm(v)
 
 
 class TestGradientResult:

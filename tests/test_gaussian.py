@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from isograd import core, gaussian
+from isograd.core import ConstraintSet, mode_named
 from isograd.errors import (BadParams, InfeasiblePoint, NonFinite,
                             PreconditionError)
 from isograd.gaussian import (
     DEFAULT_PARAMS,
+    STATISTICS,
     NormalParams,
     analytic_rho_derivative,
     check_suite,
@@ -220,7 +223,53 @@ class TestCheckSuite:
         assert row.statistic == pytest.approx(0.77, abs=1e-4)
         assert row.expected == pytest.approx(0.77, abs=1e-12)
 
+    def test_shares_probes(self, eval_calls):
+        # both pointwise relations from one call per probe and semantics:
+        # 9 probes x (26 + 42) evals, plus 48 for the covariance; relation
+        # by relation it took 1,272
+        check_suite()
+        assert eval_calls == [660]
+
+    def test_refuses_nonzero_rho_before_any_probe(self, eval_calls):
+        tilted = NormalParams(0.3, -0.2, 1.1, 0.7, 0.2)
+        with pytest.raises(InfeasiblePoint,
+                           match=r"^relations are evaluated at rho = 0$"):
+            check_suite(tilted)
+        assert eval_calls == [0]
+
+    @pytest.mark.parametrize("params", [
+        DEFAULT_PARAMS, NormalParams(-0.7, 0.4, 0.6, 1.8, 0.0)])
+    @pytest.mark.parametrize("mode", ["constrained", "limit"])
+    def test_shared_results_match_each_relation_alone(self, params, mode):
+        _, relations = STATISTICS["pointwise"]
+        for probe in probe_grid(params):
+            shared = gaussian._kind_gradients(params, "pointwise", mode, probe)
+            z = np.array([*probe, *params.as_array()])
+            direction = np.zeros(7)
+            direction[6] = 1.0
+            reading = mode_named(mode, ConstraintSet.pin({6: 0.0}, "rho=0"),
+                                 direction)
+            for k, relation in enumerate(relations):
+                alone = core.gradient(_pointwise_alone(relation), z, reading)
+                assert repr(shared[k]) == repr(alone), (relation, probe)
+                assert repr(relation_gradients(params, relation, mode,
+                                               probe)) == repr(alone)
+
     def test_probe_grid_shape(self):
         probes = probe_grid(DEFAULT_PARAMS)
         assert len(probes) == 9
         assert (DEFAULT_PARAMS.mu_x, DEFAULT_PARAMS.mu_y) in probes
+
+
+def _pointwise_alone(relation):
+    """One pointwise relation as a one-output function of
+    (x, y, mu_x, mu_y, sigma_x, sigma_y, rho), built from the public
+    densities."""
+    def f(z):
+        x, y, *rest = (float(v) for v in z)
+        p = NormalParams(*rest)
+        if relation == "P_xy-P_xP_y":
+            return float(joint_pdf(p, x, y)
+                         - marginal_pdf_x(p, x) * marginal_pdf_y(p, y))
+        return float(conditional_pdf_x_given_y(p, x, y) - marginal_pdf_x(p, x))
+    return f

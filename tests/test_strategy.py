@@ -1,11 +1,12 @@
 """Tests for the mixed/behavioural strategy spaces and the comparison table."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from isograd import jointbinary
+from isograd import jointbinary, strategy
 from isograd.core import gradient
 from isograd.errors import DegenerateMarginal, OutOfRange, PreconditionError
 from isograd.strategy import (
@@ -15,8 +16,10 @@ from isograd.strategy import (
     behavioural_correlation,
     behavioural_from_mixed,
     behavioural_joint,
+    behavioural_joint_cells,
     mixed_correlation,
     mixed_joint,
+    mixed_joint_cells,
     moments,
     sample_points,
     table1,
@@ -294,3 +297,52 @@ class TestTablePlumbing:
                 entry = report.entry(row.label, col.name)
                 assert entry.kinds == tuple(sorted({r.kind for r in alone}))
                 assert repr(entry.components) == repr(alone[0].components)
+
+
+def _mixed_joint_array(z):
+    """The joint as a numpy 4-vector: the reference the float cells must
+    match bitwise."""
+    a1, b1, b2, b3 = (float(v) for v in z)
+    return np.array([(1.0 - a1) * (1.0 - b2 - b3), (1.0 - a1) * (b2 + b3),
+                     a1 * (1.0 - b1 - b3), a1 * (b1 + b3)])
+
+
+def _behavioural_joint_array(z):
+    p, q, r = (float(v) for v in z)
+    return np.array([(1.0 - p) * (1.0 - q), (1.0 - p) * q,
+                     p * (1.0 - r), p * r])
+
+
+class TestJointCells:
+    def test_cells_are_plain_floats(self):
+        for cells in (mixed_joint_cells(np.array([0.3, 0.2, 0.1, 0.4])),
+                      mixed_joint_cells((np.float64(0.3), 1.0, 0.0, 0.0)),
+                      behavioural_joint_cells(np.array([0.3, 0.2, 0.6])),
+                      behavioural_joint_cells((np.float64(0.3), 0.2, 0.2))):
+            assert type(cells) is tuple and len(cells) == 4
+            assert all(type(c) is float for c in cells)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table_matches_numpy_array_joints_bitwise(self, monkeypatch,
+                                                      case, seed):
+        floats = repr(table1(case, seed=seed))
+        arrays = {mixed_joint_cells: _mixed_joint_array,
+                  behavioural_joint_cells: _behavioural_joint_array}
+        calls = []
+
+        def counted(build):
+            def wrapped(z):
+                calls.append(build)
+                return build(z)
+            return wrapped
+
+        for cells, array in arrays.items():
+            monkeypatch.setattr(strategy, cells.__name__, counted(array))
+        rows, columns = CASES[case]
+        columns = tuple(
+            replace(c, joint_of=counted(arrays[c.joint_of]))
+            if c.joint_of in arrays else c for c in columns)
+        monkeypatch.setitem(strategy.CASES, case, (rows, columns))
+        assert repr(table1(case, seed=seed)) == floats
+        assert {_mixed_joint_array, _behavioural_joint_array} <= set(calls)
