@@ -1,8 +1,10 @@
 """Tests for the correlation-slice geometry and tree-payoff optimizers."""
 
 import dataclasses
+import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +421,82 @@ def _curve_maximum(rho: float) -> float:
 # about 60 slices across (-1, 1), with the two default-grid refusals
 CLAIM_RHOS = sorted({round(x, 3) for x in np.linspace(-0.99, 0.99, 58)}
                     | {0.0, 0.13, 0.48})
+
+
+# the claim slices plus the smallest and most extreme correlations
+BLOCK_RHOS = sorted(set(CLAIM_RHOS) | {0.003, 0.01, 0.999, -0.999})
+
+
+@functools.cache
+def _one_shot_grid_maximum(grid: int, rho: float) -> tuple[float, int, int]:
+    """The reference: first maximum in C order of one whole-mesh call."""
+    g = np.linspace(0.0, 1.0, grid)
+    P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
+    V = treeopt.slice_payoff(P, Q, rho)
+    i, j = np.unravel_index(int(np.argmax(V)), V.shape)
+    return float(V[i, j]), int(i), int(j)
+
+
+class TestGridMaximum:
+    """Row blocks over the feasible band find the whole mesh's maximum."""
+
+    # the default blocks end in a partial block at 401 (1 row) and 803 (3
+    # rows); the forced sizes run on the small grids, where one-row blocks
+    # cost a call per row
+    @pytest.mark.parametrize("grid, block", [
+        (11, "default"), (51, "default"), (401, "default"), (803, "default"),
+        (11, "one row"), (51, "one row"),
+        (11, "partial last"), (51, "partial last")])
+    def test_blocks_match_the_whole_mesh_bitwise(self, grid, block,
+                                                 monkeypatch):
+        nodes = {"default": treeopt._BLOCK_NODES, "one row": 1,
+                 "partial last": 2 * grid + 1}[block]  # 2 rows, grid is odd
+        monkeypatch.setattr(treeopt, "_BLOCK_NODES", nodes)
+        g = np.linspace(0.0, 1.0, grid)
+        for rho in BLOCK_RHOS:
+            value, i, j = treeopt._grid_maximum(g, rho)
+            ref_value, ref_i, ref_j = _one_shot_grid_maximum(grid, rho)
+            assert (value.hex(), i, j) == (ref_value.hex(), ref_i, ref_j), \
+                f"rho={rho}"
+
+    @pytest.mark.parametrize("grid, nodes",
+                             [(51, 1), (51, 2 * 51 + 1), (401, None)])
+    def test_skipped_nodes_are_off_region(self, grid, nodes, monkeypatch):
+        if nodes is not None:
+            monkeypatch.setattr(treeopt, "_BLOCK_NODES", nodes)
+        g = np.linspace(0.0, 1.0, grid)
+        P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
+        real, blocks = treeopt.slice_payoff, []
+        monkeypatch.setattr(treeopt, "slice_payoff", lambda p, q, rho: (
+            blocks.append((p, q)), real(p, q, rho))[1])
+        for rho in BLOCK_RHOS:
+            blocks.clear()
+            treeopt._grid_maximum(g, rho)
+            seen = np.zeros((grid, grid), dtype=bool)
+            for p, q in blocks:
+                seen[np.ix_(np.searchsorted(g, p.ravel()),
+                            np.searchsorted(g, q.ravel()))] = True
+            assert not real(P, Q, rho)[~seen].any(), f"rho={rho}"
+            if rho != 0.0:
+                assert not seen.all(), f"rho={rho}: nothing trimmed"
+
+    def test_ties_keep_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(treeopt, "_BLOCK_NODES", 1)
+        monkeypatch.setattr(treeopt, "slice_payoff", lambda p, q, rho:
+                            np.ones(np.broadcast_shapes(p.shape, q.shape)))
+        assert treeopt._grid_maximum(np.linspace(0.0, 1.0, 11), 0.5) == \
+            (1.0, 0, 0)
+
+    def test_grid_801_slice_peak_memory(self):
+        treeopt.maximize_payoff_on_slice(0.5, grid=801)  # loads the polish
+        tracemalloc.start()
+        try:
+            treeopt.maximize_payoff_on_slice(0.5, grid=801)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # evaluated as one 801 x 801 mesh, the grid peaks at 15.3 MiB
+        assert peak < 2 * 2**20
 
 
 class TestRefinementClaims:
