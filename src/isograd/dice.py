@@ -11,7 +11,6 @@ with the per-die winners.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -87,44 +86,41 @@ def marginal_entropy_gradient(free: np.ndarray) -> np.ndarray:
 
 
 def _entropy_on_grid(sides: int, resolution: int):
-    """Exhaustive entropy evaluation on the die's face grid.
+    """Best entropy on the die's face grid, by max-plus dynamic programming.
 
-    Enumerates the compositions k of ``resolution`` into ``sides`` parts and
-    scores the grid point k / resolution with the table
-    T[i] = -(i/n) log(i/n).  The outer parts are looped in ascending order
-    and the last one or two free parts are vectorized.  Returns
+    The grid points are k / resolution for the compositions k of
+    ``resolution`` into ``sides`` parts, scored with the table
+    T[i] = -(i/n) log(i/n).  Scores are compared on a 2**-40 lattice,
+    S = rint(T * 2**40): integer sums are exact, while float sums depend on
+    the order of their terms, so permutations of one composition would not
+    tie.  B_1 = S and B_s[m] = max_a S[a] + B_(s-1)[m - a] give the top
+    score of s parts summing to m, in O(sides * n^2) steps instead of the
+    O(n^(sides-1)) of enumerating compositions; on integers no rounding
+    enters, so B_sides[n] is exactly the best composition's score.  The
+    optimum is rebuilt part by part, taking the smallest first part a with
+    S[a] + B_(sides-1)[n - a] = B_sides[n] and recursing on the rest, so
+    ties resolve to the lexicographically smallest composition.  Returns
     (best_params, best_entropy), where best_params are the first sides - 1
-    coordinates; ties resolve to the lexicographically smallest composition.
+    coordinates.
     """
     n = resolution
     table = np.array([-xlogx(k / n) for k in range(n + 1)])
-    # scores are compared on a 2**-40 lattice, where sums are exact: float
-    # sums depend on the order of their terms, so permutations of one
-    # composition would not tie
     score = np.rint(table * 2.0 ** 40).astype(np.int64)
-    inner = min(sides - 1, 2)
-    # the last `inner` free parts, sorted by their sum (lexicographically
-    # within one sum), so the tuples summing to at most m form a prefix
-    free = np.indices((n + 1,) * inner).reshape(inner, -1).T
-    free = free[np.argsort(free.sum(axis=1), kind="stable")]
-    used = free.sum(axis=1)
-    free_score = score[free].sum(axis=1)
-    best_score, best = -1, None
-    for outer in itertools.product(range(n + 1), repeat=sides - 1 - inner):
-        m = n - sum(outer)
-        if m < 0:
-            continue
-        size = math.comb(m + inner, inner)
-        chunk = free_score[:size] + score[m - used[:size]]
-        peak = chunk.max()
-        top = int(peak) + int(score[list(outer)].sum())
-        if top > best_score:
-            ties = np.flatnonzero(chunk == peak)
-            last = min(tuple(int(v) for v in free[i]) for i in ties)
-            best_score = top
-            best = outer + last + (m - sum(last),)
+    parts = np.arange(n + 1)
+    lag = parts[:, None] - parts  # lag[m, a] = m - a
+    # tops[s - 1] is B_s; a part a > m is ruled out by -1, below every score
+    tops = [score]
+    for _ in range(sides - 2):
+        tops.append(np.where(lag >= 0, score + tops[-1][lag], -1).max(axis=1))
+    best, m = [], n
+    for rest in reversed(tops):
+        # np.argmax returns the first maximum: the smallest optimal part
+        part = int(np.argmax(score[:m + 1] + rest[m::-1]))
+        best.append(part)
+        m -= part
+    best.append(m)
     params = tuple(k / n for k in best[:-1])
-    return params, float(table[list(best)].sum())
+    return params, float(table[best].sum())
 
 
 def _entropy_of_params(params: np.ndarray) -> float:

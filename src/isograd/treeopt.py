@@ -15,8 +15,10 @@ The slice maximizer meshes the (p, q) square, refines on the bounding curve
 (rho > 0) or at the corner grid node (rho <= 0), and cross-checks the two;
 :func:`sweep` runs it on the nine standard slices.  The mesh is evaluated in
 cache-sized row blocks, each trimmed to the columns inside the feasible band
-at its rows; :func:`_grid_maximum` says why that changes no bit of the
-result.
+at its rows, and a block is skipped when an upper bound on the payoff of its
+rows falls strictly below the best node found so far (for rho <= 0 only the
+first block, which holds the corner, is evaluated); :func:`_grid_maximum`
+says why neither changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import minimize, minimize_scalar
+from .core import minimize, minimize_scalar, require_finite
 from .errors import (
     BadParams,
     ConvergenceFailure,
     InfeasiblePoint,
+    NonFinite,
     OutOfRange,
     SingularP,
     SingularRho,
@@ -52,6 +55,9 @@ _DISAGREEMENT_TOL = 1e-3
 #: Most slice-mesh nodes evaluated at once, so that a block's float64
 #: temporaries (128 KiB each) stay in the L2 cache.
 _BLOCK_NODES = 16384
+#: Margin added to the row bounds of :func:`_grid_maximum`: more than the
+#: rounding error of a float payoff or bound, which is below 1e-14.
+_ROUNDING_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +220,11 @@ def discrepancy_payoff(p: float, q: float, r: float,
     ``1 - (q + r - 1)^2 - (1 - p)^2 - p^2``.  ``"constrained"`` pins
     (q, r) = (0, 1) so only the p-derivative survives, and that derivative,
     q + r - 1, vanishes identically on the pinned line: the payoff is
-    constantly 1 there.
+    constantly 1 there.  NaN or infinite coordinates raise
+    :class:`NonFinite`.
     """
     p, q, r = float(p), float(q), float(r)
+    require_finite((p, q, r))
     if mode == "unconstrained":
         return _unconstrained_discrepancy(p, q, r)
     if mode == "constrained":
@@ -294,11 +302,16 @@ def slice_payoff(p, q, rho: float):
 
     ``r`` is the slice surface value; the multiplication by the region
     indicator mirrors a penalty-by-indicator objective.  At rho = 0 the
-    expression reduces to 2p + 3q - 4pq on the whole square.
+    expression reduces to 2p + 3q - 4pq on the whole square.  NaN or
+    infinite ``p`` or ``q`` raise :class:`NonFinite` rather than read as
+    off-region; the check runs on the arrays as given, so a sparse mesh
+    pays for its row and column vectors, not for every node.
     """
     rho = _validate_rho(rho)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise NonFinite("slice payoff needs finite p and q")
     r = _surface_clamped(p, q, rho)
     value = 2.0 * p + 3.0 * q - 3.0 * p * q - p * r
     out = np.where(_mask(p, q, r, rho), value, 0.0)
@@ -313,14 +326,30 @@ def _grid_maximum(g: np.ndarray, rho: float) -> tuple[float, int, int]:
     Returns ``(value, i, j)`` with the maximum at (p, q) = (g[i], g[j]), for
     -1 < rho < 1.  The rows go in blocks of at most :data:`_BLOCK_NODES`
     nodes; across blocks only a strictly larger value wins, so ties keep the
-    first node.  A block evaluates the columns that pass :func:`_mask`'s
-    bounding-curve test (q <= bound + RANGE_TOL for rho > 0, q >= bound -
-    RANGE_TOL for rho < 0) at one of its rows or more; each node left out
-    fails that test at its own row, so its payoff is 0.  The maximum is
-    positive (at least p at q = 0 for rho > 0, 3 at (0, 1) for rho < 0), so
-    a skipped node is never the argmax.  Each evaluated node goes through
-    the same elementwise operations as on the whole mesh, so its value is
-    bitwise the same.
+    first node.  Two kinds of node are never evaluated, and neither can be
+    the argmax:
+
+    - Band trim.  A block evaluates the columns that pass :func:`_mask`'s
+      bounding-curve test (q <= bound + RANGE_TOL for rho > 0, q >= bound -
+      RANGE_TOL for rho < 0) at one of its rows or more; each node left out
+      fails that test at its own row, so its payoff is 0.  The maximum is
+      positive (at least p at q = 0 for rho > 0, 3 at (0, 1) for rho < 0).
+    - Row bound.  Let stop_i be the end of row i's band (n for rho <= 0).  A
+      node of row i that passes the mask has r >= -RANGE_TOL (at rho = 0,
+      where the mask does not test r, r = q >= 0) and q <= g[stop_i - 1],
+      so its exact payoff 2p + 3q(1 - p) - pr is at most ``2p + 3(1 - p)
+      g[stop_i - 1] + p RANGE_TOL``, and a masked node reads 0, below
+      that positive bound.  The float payoff and the float bound each take
+      a handful of roundings of terms no larger than 5, so each is off by
+      less than 1e-14, and adding :data:`_ROUNDING_SLACK` = 1e-12 gives a
+      bound ``ub_i`` that every float value of row i stays strictly below.  A block whose
+      largest ``ub_i`` is below the best value so far holds no node that
+      could win or tie, so it is skipped.  For rho <= 0 the first block
+      holds the corner (0, 1), which reads 3, while ub_i = 3 - p_i(1 -
+      RANGE_TOL) + slack is below 3 from row 1 on: only that block runs.
+
+    Each evaluated node goes through the same elementwise operations as on
+    the whole mesh, so its value is bitwise the same.
     """
     n = g.size
     first, stop = np.zeros(n, dtype=int), np.full(n, n)
@@ -330,11 +359,15 @@ def _grid_maximum(g: np.ndarray, rho: float) -> tuple[float, int, int]:
     elif rho < 0.0:
         first = np.searchsorted(g, _bound_clamped(g, rho) - RANGE_TOL,
                                 side="left")
+    ub = (2.0 * g + 3.0 * (1.0 - g) * g[stop - 1] + g * RANGE_TOL
+          + _ROUNDING_SLACK)
     P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
     rows = max(1, _BLOCK_NODES // n)
     best = (-np.inf, 0, 0)
     for lo in range(0, n, rows):
         hi = lo + rows
+        if ub[lo:hi].max() < best[0]:
+            continue
         c0 = int(first[lo:hi].min())
         V = slice_payoff(P[lo:hi], Q[:, c0:int(stop[lo:hi].max())], rho)
         i, j = np.unravel_index(int(np.argmax(V)), V.shape)
@@ -351,7 +384,8 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
     1. Grid: :func:`slice_payoff` on a ``grid`` x ``grid`` mesh of the unit
        (p, q) square; the first maximum in C order is the grid optimum.  The
        mesh is evaluated in blocks of rows, each trimmed to the columns the
-       bounding curve admits at those rows (see :func:`_grid_maximum`).
+       bounding curve admits at those rows, and a block whose payoff bound
+       is below the best node so far is skipped (see :func:`_grid_maximum`).
     2. Refinement where the optimum is known to lie.  For 0 < rho < 1 it
        rides the bounding curve q = p/(p + k), k = rho^2/(1 - rho^2), where
        r = 1 and the payoff is p + 3q(1 - p); a bounded 1-D search (Brent)

@@ -14,6 +14,7 @@ from isograd.core import (
     gradient,
     resolve,
     simplex_volume,
+    xlogx,
 )
 from isograd import dice
 from isograd.dice import (
@@ -138,7 +139,49 @@ def _brute_force_grid(sides, n):
     return tuple(k / n for k in best[:-1]), entropy
 
 
+def _enumerated_grid(sides, n):
+    """Reference: the enumeration of compositions that the max-plus search
+    replaced, with the same table, lattice and lexicographic tie rule.
+
+    The outer parts are looped in ascending order and the last one or two
+    free parts are vectorized.
+    """
+    table = np.array([-xlogx(k / n) for k in range(n + 1)])
+    score = np.rint(table * 2.0 ** 40).astype(np.int64)
+    inner = min(sides - 1, 2)
+    # the last `inner` free parts, sorted by their sum (lexicographically
+    # within one sum), so the tuples summing to at most m form a prefix
+    free = np.indices((n + 1,) * inner).reshape(inner, -1).T
+    free = free[np.argsort(free.sum(axis=1), kind="stable")]
+    used = free.sum(axis=1)
+    free_score = score[free].sum(axis=1)
+    best_score, best = -1, None
+    for outer in itertools.product(range(n + 1), repeat=sides - 1 - inner):
+        m = n - sum(outer)
+        if m < 0:
+            continue
+        size = math.comb(m + inner, inner)
+        chunk = free_score[:size] + score[m - used[:size]]
+        peak = chunk.max()
+        top = int(peak) + int(score[list(outer)].sum())
+        if top > best_score:
+            ties = np.flatnonzero(chunk == peak)
+            last = min(tuple(int(v) for v in free[i]) for i in ties)
+            best_score = top
+            best = outer + last + (m - sum(last),)
+    params = tuple(k / n for k in best[:-1])
+    return params, float(table[list(best)].sum())
+
+
 class TestEntropyGrid:
+    @pytest.mark.parametrize("sides", [2, 3, 4])
+    def test_matches_the_enumeration_bitwise(self, sides):
+        for n in [*range(1, 61), 199, 200, 201]:
+            params, value = dice._entropy_on_grid(sides, n)
+            want_params, want_value = _enumerated_grid(sides, n)
+            assert (params, value.hex()) == (want_params, want_value.hex()), \
+                f"sides={sides} n={n}"
+
     @pytest.mark.parametrize("sides", [2, 3, 4])
     def test_matches_brute_force_enumeration(self, sides):
         for n in range(1, 13):

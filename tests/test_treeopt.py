@@ -15,6 +15,7 @@ from isograd.errors import (
     BadParams,
     ConvergenceFailure,
     InfeasiblePoint,
+    NonFinite,
     OutOfRange,
     SingularP,
     SingularRho,
@@ -263,6 +264,16 @@ class TestDiscrepancyPayoff:
         with pytest.raises(InfeasiblePoint):
             treeopt.discrepancy_payoff(0.5, 0.0, 0.9, mode="constrained")
 
+    @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_input_is_rejected(self, mode, slot):
+        # abs(nan) > RANGE_TOL is False, so a NaN got past the pin check
+        for bad in (math.nan, math.inf):
+            point = [0.5, 0.0, 1.0]
+            point[slot] = bad
+            with pytest.raises(NonFinite):
+                treeopt.discrepancy_payoff(*point, mode)
+
     def test_unknown_mode(self):
         with pytest.raises(BadParams):
             treeopt.discrepancy_payoff(0.5, 0.5, 0.5, mode="subgradient")
@@ -316,6 +327,14 @@ class TestSlicePayoff:
         # q far above the rho=+0.5 bound at p=0.9 (bound ~ 0.73)
         assert treeopt.slice_payoff(0.9, 0.9, 0.5) == 0.0
         assert treeopt.slice_payoff(0.9, 0.5, 0.5) > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        # a NaN fails every mask test, so without the check it read as 0
+        for p, q in ((bad, 0.5), (0.5, bad), (np.array([[0.2], [bad]]),
+                                              np.array([[0.1, 0.3]]))):
+            with pytest.raises(NonFinite):
+                treeopt.slice_payoff(p, q, 0.5)
 
     def test_value_on_bound_curve(self):
         p = 0.4831
@@ -462,6 +481,8 @@ class TestGridMaximum:
     @pytest.mark.parametrize("grid, nodes",
                              [(51, 1), (51, 2 * 51 + 1), (401, None)])
     def test_skipped_nodes_are_off_region(self, grid, nodes, monkeypatch):
+        # every node no block evaluates, off the band or in a block the row
+        # bound skips, reads strictly below the grid maximum
         if nodes is not None:
             monkeypatch.setattr(treeopt, "_BLOCK_NODES", nodes)
         g = np.linspace(0.0, 1.0, grid)
@@ -471,14 +492,28 @@ class TestGridMaximum:
             blocks.append((p, q)), real(p, q, rho))[1])
         for rho in BLOCK_RHOS:
             blocks.clear()
-            treeopt._grid_maximum(g, rho)
+            value = treeopt._grid_maximum(g, rho)[0]
             seen = np.zeros((grid, grid), dtype=bool)
             for p, q in blocks:
                 seen[np.ix_(np.searchsorted(g, p.ravel()),
                             np.searchsorted(g, q.ravel()))] = True
-            assert not real(P, Q, rho)[~seen].any(), f"rho={rho}"
+            assert (real(P, Q, rho)[~seen] < value).all(), f"rho={rho}"
             if rho != 0.0:
                 assert not seen.all(), f"rho={rho}: nothing trimmed"
+
+    @pytest.mark.parametrize("grid", [401, 801])
+    def test_non_positive_rho_evaluates_only_the_corner_block(self, grid,
+                                                              monkeypatch):
+        # the corner (0, 1) reads 3, and every later row's bound is below 3
+        g = np.linspace(0.0, 1.0, grid)
+        real, blocks = treeopt.slice_payoff, []
+        monkeypatch.setattr(treeopt, "slice_payoff", lambda p, q, rho: (
+            blocks.append(p), real(p, q, rho))[1])
+        for rho in (0.0, -0.003, -0.25, -0.999):
+            blocks.clear()
+            assert treeopt._grid_maximum(g, rho) == (3.0, 0, grid - 1)
+            assert len(blocks) == 1, f"rho={rho}: {len(blocks)} blocks"
+            assert blocks[0][0, 0] == 0.0, f"rho={rho}"
 
     def test_ties_keep_the_first_block(self, monkeypatch):
         monkeypatch.setattr(treeopt, "_BLOCK_NODES", 1)
