@@ -10,7 +10,8 @@ Two distinct differentiation rules are implemented:
   differentiating: the result has one component per tangent direction of the
   constraint manifold, and directions normal to the manifold are simply absent.
   The tangent basis comes from one Gram-Schmidt pass over the constraint
-  gradients and then over the axes e_1..e_n; the axes that survive form it.
+  gradients, as each constraint states them (central differences serve one
+  that states none), and then over the axes e_1..e_n; the survivors form it.
 * ``Limit(direction)`` never substitutes: it evaluates the full ambient
   finite-difference gradient at ``at + eps * direction`` for each eps of
   :data:`DEFAULT_LADDER` and classifies the trend as Finite (with the
@@ -25,7 +26,7 @@ the tangent basis is built once, and result k is bitwise what ``gradient``
 returns for output k alone.  ``gradient`` is that call with one output.
 
 The shared formulas live here once: ``xlogx`` for every entropy, the
-Euclidean norm of every gradient, the tangent basis of a constraint Jacobian,
+Euclidean norm of every gradient, the tangent basis of a constraint set,
 and the central-difference loop.  So do the
 two SciPy searches the optimizers polish with, which import SciPy on their
 first call: ``import isograd`` loads numpy and the standard library only.
@@ -132,12 +133,13 @@ def resolve(point: Sequence[float]) -> ProbVector:
 class ConstraintSet:
     """Equality constraints g_k(free coords) = target_k.
 
-    Constraint callables must be evaluable at every interior point of the
-    ambient simplex (and in an h-neighbourhood of any point they are checked
-    at, since the tangent basis is built by finite differences).
+    Each is ``(g, target, dg)``, with ``dg(x)`` the gradient of ``g`` over
+    the free coordinates, or ``(g, target)``, differentiated centrally.  The
+    callables must be evaluable at every interior point of the ambient
+    simplex, and a ``g`` without ``dg`` within FD_STEP of any basis point.
     """
 
-    equalities: tuple[tuple[Callable[[np.ndarray], float], float], ...]
+    equalities: tuple[tuple, ...]
     label: str = ""
 
     @staticmethod
@@ -146,10 +148,11 @@ class ConstraintSet:
 
     @staticmethod
     def pin(indices_values: dict[int, float], label: str = "") -> "ConstraintSet":
-        """Pin individual free coordinates to fixed values."""
-        eqs = tuple(
-            ((lambda x, i=i: float(x[i])), float(v)) for i, v in indices_values.items()
-        )
+        """Pin individual free coordinates to fixed values; pin i states e_i."""
+        require_finite(indices_values.values())
+        eqs = tuple(((lambda x, i=i: float(x[i])), float(v),
+                     (lambda x, i=i: np.eye(len(x))[i]))
+                    for i, v in indices_values.items())
         return ConstraintSet(eqs, label or "pin " + ",".join(
             f"x[{i}]={v:g}" for i, v in indices_values.items()))
 
@@ -157,16 +160,37 @@ class ConstraintSet:
         return len(self.equalities)
 
     def max_violation(self, x: np.ndarray) -> float:
-        if not self.equalities:
-            return 0.0
-        return max(abs(float(g(x)) - t) for g, t in self.equalities)
+        return max((abs(float(eq[0](x)) - eq[1]) for eq in self.equalities),
+                   default=0.0)
 
     def satisfied(self, x: np.ndarray) -> bool:
         return self.max_violation(x) <= FEASIBILITY_TOL
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        rows = [finite_difference(g, x) for g, _ in self.equalities]
-        return np.asarray(rows, dtype=float).reshape(len(self.equalities), len(x))
+    def basis(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal basis of the tangent space at ``x``, as columns.
+
+        One Gram-Schmidt pass runs over the constraint gradients and then
+        over the axes e_1..e_n, in that order, dropping each vector whose
+        remainder is at most :data:`BASIS_DROP_TOL` of its starting norm.
+        The axes that survive are the basis: coordinate pins give exactly the
+        remaining axes, in order, and each column is positive on the axis it
+        came from.
+        """
+        n = len(x)
+        rows = [eq[2](x) if len(eq) > 2 else finite_difference(eq[0], x)
+                for eq in self.equalities]
+        found = []
+        for i, v in enumerate(np.reshape(rows, (len(rows), n)).tolist()
+                              + np.eye(n).tolist()):
+            start = math.hypot(*v)
+            for _, q in found:
+                c = sum([a * b for a, b in zip(q, v)])
+                v = [a - c * b for a, b in zip(v, q)]
+            left = math.hypot(*v)
+            if left > BASIS_DROP_TOL * start:
+                found.append((i, [a / left for a in v]))
+        axes = [q for i, q in found if i >= len(rows)]
+        return np.array(axes, dtype=float).reshape(len(axes), n).T
 
 
 @dataclass(frozen=True)
@@ -298,7 +322,9 @@ def _eval(f: Callable[[np.ndarray], Sequence[float]],
 def _free_coords(at) -> np.ndarray:
     if isinstance(at, ProbVector):
         return at.free_array()
-    return np.asarray(at, dtype=float)
+    x = np.asarray(at, dtype=float)
+    require_finite(x.ravel().tolist())
+    return x
 
 
 def _central(f: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
@@ -338,29 +364,6 @@ def directed_gradient(f: Callable[[np.ndarray], float], at,
     x = _free_coords(at)
     d = _along(Limit(tuple(direction)), x)
     return float(_central(lambda y: (f(y),), x, (FD_STEP * d,), FD_STEP)[0, 0])
-
-
-def _tangent_basis(jac: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the constraint tangent space, as columns.
-
-    One Gram-Schmidt pass runs over the rows of ``jac`` and then over the
-    axes e_1..e_n, in that order, dropping each vector whose remainder is at
-    most :data:`BASIS_DROP_TOL` of its starting norm.  The axes that survive
-    are the basis: coordinate pins give exactly the remaining axes, in order,
-    and each column is positive on the axis it came from.
-    """
-    rows, n = jac.shape
-    found = []
-    for i, v in enumerate(jac.tolist() + np.eye(n).tolist()):
-        start = math.hypot(*v)
-        for _, q in found:
-            c = sum([a * b for a, b in zip(q, v)])
-            v = [a - c * b for a, b in zip(v, q)]
-        left = math.hypot(*v)
-        if left > BASIS_DROP_TOL * start:
-            found.append((i, [a / left for a in v]))
-    axes = [q for i, q in found if i >= rows]
-    return np.array(axes, dtype=float).reshape(len(axes), n).T
 
 
 def _classify_ladder(grads: list[np.ndarray]):
@@ -422,7 +425,7 @@ def gradients(f: Callable[[np.ndarray], Sequence[float]], at,
         if not cs.satisfied(x):
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
-        basis = _tangent_basis(cs.jacobian(x))
+        basis = cs.basis(x)
         columns = _tuples(basis.T)
         return [GradientResult(kind="finite", components=comps, basis=columns)
                 for comps in _tuples(_central(f, x, FD_STEP * basis.T, FD_STEP))]

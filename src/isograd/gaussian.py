@@ -266,9 +266,12 @@ def check_suite(params: NormalParams = DEFAULT_PARAMS,
     Pointwise relations are probed on :func:`probe_grid`.  A constrained row
     passes when its worst gradient norm is below ``tol`` (default 1e-6); a
     limit row when every rho-component is within ``tol`` (default 1e-4) of
-    the closed form and the largest exceeds 1e-3.  Relations of one kind are
+    the closed form and the largest exceeds 1e-3; a given ``tol`` must be
+    positive and finite.  Relations of one kind are
     differentiated together, one call per probe and semantics.
     """
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise BadParams(f"tol must be positive and finite, got {tol!r}")
     _require_rho_zero(params)
     rows = []
     for kind, (_, relations) in STATISTICS.items():

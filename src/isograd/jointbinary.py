@@ -10,12 +10,12 @@ Two sub-families matter:
 
 The entropy gradient, Fisher information and likelihood score have two
 finite readings, the pinned b = c = 0 family (``constrained``) and the open
-simplex (``unconstrained``).  Each reading is a tangent basis J over
-(a, b, c) plus the cells it keeps live, and every statistic is one pullback
-through J of its per-cell form (Amari & Nagaoka, *Methods of Information
-Geometry*, 2000).  The ``limit`` reading approaches the point from the
-ambient simplex instead, and the relation suite shows where the readings
-disagree.  Entropies are core's cell entropy of the joint or of a marginal.
+simplex (``unconstrained``).  Each reading is a constraint set, whose core
+basis is J over (a, b, c), plus the cells it keeps live; every statistic is
+one pullback through J of its per-cell form (Amari & Nagaoka, *Methods of
+Information Geometry*, 2000).  The ``limit`` reading approaches the point
+from the ambient simplex instead, and the relation suite shows where the
+readings disagree.  Entropies are core's cell entropy of joint or marginal.
 """
 
 from __future__ import annotations
@@ -163,18 +163,19 @@ def correlation(p: JointPoint) -> float:
 # gradient readings
 
 CORRELATED_CONSTRAINTS = ConstraintSet.pin({1: 0.0, 2: 0.0}, "b=c=0")
+# ad - bc with d = 1 - a - b - c, and its gradient (d - a, -(a + c), -(a + b))
 INDEPENDENT_CONSTRAINTS = ConstraintSet(
-    ((lambda x: float(x[0] * (1.0 - x[0] - x[1] - x[2]) - x[1] * x[2]), 0.0),),
+    ((lambda x: float(x[0] * (1.0 - x[0] - x[1] - x[2]) - x[1] * x[2]), 0.0,
+      lambda x: np.array([1.0 - 2.0 * x[0] - x[1] - x[2], -(x[0] + x[2]),
+                          -(x[0] + x[1])])),),
     "ad=bc")
 
-# d(a, b, c, d) / d(a, b, c): the resolved cell d = 1 - a - b - c pulls -1
-_CELL_JACOBIAN = np.vstack([np.eye(3), -np.ones((1, 3))])
-
-# finite reading -> (tangent basis J over (a, b, c), live cells): the pinned
+_ALL_CELLS = [0, 1, 2, 3]
+# finite reading -> (its constraints, the cells it keeps live): the pinned
 # b = c = 0 family keeps a and d, the open simplex keeps every cell
 _READINGS = {
-    "constrained": (np.array([[1.0], [0.0], [0.0]]), [0, 3]),
-    "unconstrained": (np.eye(3), [0, 1, 2, 3]),
+    "constrained": (CORRELATED_CONSTRAINTS, [0, 3]),
+    "unconstrained": (ConstraintSet.empty(), _ALL_CELLS),
 }
 
 
@@ -189,12 +190,14 @@ def _pullback(p: JointPoint, mode: str, what: str):
     """(J, DJ, p): a finite reading's tangent basis J, its live cells'
     derivatives along J and their probabilities.  Raises unless the dead
     cells are zero and the live ones positive."""
-    J, live = _reading(mode, what)
+    constraints, live = _reading(mode, what)
     probs = np.array(p.probs)
     if np.any(np.delete(probs, live)):
         raise InfeasiblePoint(f"{mode} {what} needs b = c = 0")
     _require_positive(probs, live, f"{mode} {what}")
-    return J, _CELL_JACOBIAN[live] @ J, probs[live]
+    J = constraints.basis(p.free_array())
+    # the resolved cell d = 1 - a - b - c moves against the other three
+    return J, np.vstack([J, -J.sum(axis=0)])[live], probs[live]
 
 
 def _require_positive(probs: np.ndarray, live, what: str) -> None:
@@ -293,13 +296,13 @@ _INDEPENDENT_RELATIONS = (
     ("E_xy-E_x-E_y", lambda j: entropy_xy(j) - entropy_x(j) - entropy_y(j)),
 )
 
-# family -> (relations, constraints, limit approach, cells a point of the
-# family keeps positive for the constrained probes to stay in the simplex)
+# family -> (relations, limit approach, (constraints, cells a point of the
+# family keeps positive for the constrained probes to stay in the simplex))
 FAMILIES = {
-    "correlated": (_CORRELATED_RELATIONS, CORRELATED_CONSTRAINTS,
-                   CORRELATED_DIRECTION, [0, 3]),
-    "independent": (_INDEPENDENT_RELATIONS, INDEPENDENT_CONSTRAINTS,
-                    INDEPENDENT_DIRECTION, [0, 1, 2, 3]),
+    "correlated": (_CORRELATED_RELATIONS, CORRELATED_DIRECTION,
+                   _READINGS["constrained"]),
+    "independent": (_INDEPENDENT_RELATIONS, INDEPENDENT_DIRECTION,
+                    (INDEPENDENT_CONSTRAINTS, _ALL_CELLS)),
 }
 
 
@@ -315,12 +318,11 @@ def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
-    relations, constraints, approach, live = FAMILIES[family]
+    relations, approach, (constraints, live) = FAMILIES[family]
     if mode == "unconstrained":
-        _pullback(p, mode, "relation gradient")
-    elif mode == "constrained" and constraints.satisfied(p.free_array()):
-        _require_positive(np.array(p.probs), live,
-                          "constrained relation gradient")
+        constraints, live = _READINGS[mode]
+    if mode in _READINGS and constraints.satisfied(p.free_array()):
+        _require_positive(np.array(p.probs), live, f"{mode} relation gradient")
     m = mode_named(mode, constraints,
                    approach if direction is None else direction)
 

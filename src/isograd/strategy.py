@@ -469,6 +469,8 @@ def table1(case: str, n_samples: int = 20, seed: int = 42) -> Table1Report:
     if case not in CASES:
         raise PreconditionError(
             f"unknown case {case!r}; one of {sorted(CASES)}")
+    if n_samples < 1:
+        raise PreconditionError(f"n_samples must be at least 1, got {n_samples}")
     rows, columns = CASES[case]
     samples = sample_points(case, n_samples, seed)
     by_column = [_column_gradients(rows, col, samples) for col in columns]

@@ -16,7 +16,6 @@ from isograd.core import (
     GradientResult,
     Limit,
     ProbVector,
-    _tangent_basis,
     directed_gradient,
     entropy,
     entropy_of_cells,
@@ -270,7 +269,9 @@ class TestTangentBasis:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(jacobians())
     def test_orthonormal_tangent_columns_of_the_right_count(self, jac):
-        basis = _tangent_basis(jac)
+        # every row stated, so the basis is the pass over these rows
+        basis = ConstraintSet(tuple((None, 0.0, lambda x, r=r: r)
+                                    for r in jac)).basis(np.zeros(jac.shape[1]))
         n = jac.shape[1]
         assert basis.shape == (n, n - np.linalg.matrix_rank(jac))
         np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
@@ -286,9 +287,49 @@ class TestTangentBasis:
             pinned = sorted(rng.choice(n, size=rng.integers(1, n + 1),
                                        replace=False).tolist())
             cs = ConstraintSet.pin({i: x[i] for i in pinned})
-            basis = _tangent_basis(cs.jacobian(x))
+            basis = cs.basis(x)
             keep = [i for i in range(n) if i not in pinned]
             assert basis.tobytes() == np.eye(n)[:, keep].tobytes()
+
+    def test_stated_rows_take_no_evaluations(self, eval_calls):
+        x = np.array([0.2, 0.3, 0.1])
+        ConstraintSet.pin({0: 0.2, 2: 0.1}).basis(x)
+        assert eval_calls == [0]
+        # an equality that states no gradient falls back to central
+        # differences: two probes per coordinate
+        ConstraintSet(((lambda v: float(v[0]), 0.2),)).basis(x)
+        assert eval_calls == [6]
+
+    def test_stated_gradient_is_the_row_used(self):
+        # x0 + x1 = 0.5 stated as (1, 1, 0): the surviving axes are e_1
+        # minus its normal part, (1, -1, 0)/sqrt(2), and e_3
+        cs = ConstraintSet(((lambda v: float(v[0] + v[1]), 0.5,
+                             lambda v: np.array([1.0, 1.0, 0.0])),))
+        basis = cs.basis(np.array([0.2, 0.3, 0.1]))
+        expected = [[1.0 / SQRT2, 0.0], [-1.0 / SQRT2, 0.0], [0.0, 1.0]]
+        np.testing.assert_allclose(basis, expected, rtol=0, atol=1e-15)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", [Constrained(), Limit((1.0, 0.0))])
+    def test_gradient_rejects(self, bad, mode):
+        with pytest.raises(NonFinite):
+            gradient(lambda x: 1.0, [bad, 0.5], mode)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_difference_rejects(self, bad):
+        with pytest.raises(NonFinite):
+            finite_difference(lambda x: 1.0, [0.5, bad])
+
+    def test_directed_gradient_rejects(self):
+        with pytest.raises(NonFinite):
+            directed_gradient(lambda x: 1.0, [math.nan], (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pin_rejects_a_non_finite_target(self, bad):
+        with pytest.raises(NonFinite):
+            ConstraintSet.pin({0: bad})
 
 
 class TestLimitGradient:

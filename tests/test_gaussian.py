@@ -225,10 +225,17 @@ class TestCheckSuite:
 
     def test_shares_probes(self, eval_calls):
         # both pointwise relations from one call per probe and semantics:
-        # 9 probes x (26 + 42) evals, plus 48 for the covariance; relation
-        # by relation it took 1,272
+        # 9 probes x (12 + 42) evals, plus 38 for the covariance; the rho = 0
+        # pin states its row, so the basis takes none (with a differenced
+        # row it took 660, relation by relation 1,272)
         check_suite()
-        assert eval_calls == [660]
+        assert eval_calls == [524]
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol, eval_calls):
+        with pytest.raises(BadParams, match="positive and finite"):
+            check_suite(tol=tol)
+        assert eval_calls == [0]
 
     def test_refuses_nonzero_rho_before_any_probe(self, eval_calls):
         tilted = NormalParams(0.3, -0.2, 1.1, 0.7, 0.2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from isograd.core import (
     Constrained,
@@ -24,6 +25,7 @@ from isograd.errors import (
 )
 from isograd.jointbinary import (
     FAMILIES,
+    INDEPENDENT_CONSTRAINTS,
     CountData,
     JointPoint,
     conditional_x0_given_y,
@@ -416,6 +418,12 @@ class TestRelationSuiteCorrelated:
         relation_suite(self.POINTS[0], "correlated", "limit")
         assert eval_calls == [18]
 
+    def test_constrained_suite_probes_one_direction(self, eval_calls):
+        # the b = c = 0 pins state their rows: 2 probes along a, none for
+        # the basis (differencing the two rows took 12 more)
+        relation_suite(self.POINTS[0], "correlated", "constrained")
+        assert eval_calls == [2]
+
     def test_each_relation_is_its_scalar_gradient(self):
         for mode in ("constrained", "limit"):
             for p in self.POINTS:
@@ -452,6 +460,12 @@ class TestRelationSuiteIndependent:
         with pytest.raises(PreconditionError):
             relation_suite(self.UNIFORM, "anticorrelated", "constrained")
 
+    def test_constrained_suite_probes_two_directions(self, eval_calls):
+        # ad = bc states its row: 2 probes along each of the 2 tangent
+        # directions, none for the basis (differencing the row took 6 more)
+        relation_suite(self.SKEWED, "independent", "constrained")
+        assert eval_calls == [4]
+
     def test_each_relation_is_its_scalar_gradient(self):
         for mode in ("constrained", "unconstrained", "limit"):
             for p in (self.UNIFORM, self.SKEWED):
@@ -460,9 +474,45 @@ class TestRelationSuiteIndependent:
 
 def assert_relations_alone(p, family, mode):
     """The suite's results are bitwise each relation's own gradient."""
-    relations, constraints, approach, _ = FAMILIES[family]
+    relations, approach, (constraints, _) = FAMILIES[family]
     m = mode_named(mode, constraints, approach)
     alone = [(label, gradient(
         lambda x, rel=rel: float(rel(joint_from_free(x))), p.pv, m))
         for label, rel in relations]
     assert repr(relation_suite(p, family, mode)) == repr(alone)
+
+
+class TestIndependenceTangent:
+    """The stated ad = bc row and its tangent basis against sympy's exact
+    ones at rational points of the family."""
+
+    SHARES = ("3/20", "1/4", "1/3", "2/5", "1/2", "3/5", "17/20")
+
+    @staticmethod
+    def exact(px, py):
+        a, b, c = sp.symbols("a b c")
+        g = a * (1 - a - b - c) - b * c
+        at = {a: (1 - px) * (1 - py), b: (1 - px) * py, c: px * (1 - py)}
+        row = sp.Matrix([sp.diff(g, v).subs(at) for v in (a, b, c)])
+        # the Gram-Schmidt pass of core, in exact arithmetic: the row first,
+        # then the axes; the axes that survive are the basis
+        found, axes = [], []
+        for i, v in enumerate([row] + [sp.eye(3).col(k) for k in range(3)]):
+            for q in found:
+                v = v - q.dot(v) * q
+            if v.norm() != 0:
+                found.append(v / v.norm())
+                if i > 0:
+                    axes.append(found[-1])
+        x = [float(at[v]) for v in (a, b, c)]
+        as_float = lambda m: np.array(m.evalf(30).tolist(), dtype=float)
+        return x, as_float(row).ravel(), as_float(sp.Matrix.hstack(*axes))
+
+    @pytest.mark.parametrize("px", SHARES)
+    @pytest.mark.parametrize("py", SHARES)
+    def test_row_and_basis(self, px, py):
+        x, row, basis = self.exact(sp.Rational(px), sp.Rational(py))
+        stated = INDEPENDENT_CONSTRAINTS.equalities[0][2](np.array(x))
+        np.testing.assert_allclose(stated, row, rtol=0, atol=4e-16)
+        np.testing.assert_allclose(INDEPENDENT_CONSTRAINTS.basis(np.array(x)),
+                                   basis, rtol=0, atol=2e-15)

@@ -261,6 +261,11 @@ class TestTablePlumbing:
         with pytest.raises(PreconditionError):
             table1("anticorrelated")
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_needs_a_sample(self, n_samples):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            table1("correlated", n_samples=n_samples)
+
     def test_seeded_reproducibility(self):
         a = table1("correlated", n_samples=3, seed=7)
         b = table1("correlated", n_samples=3, seed=7)
