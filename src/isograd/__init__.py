@@ -60,8 +60,6 @@ from .errors import (
     NonFinite,
     OutOfRange,
     PreconditionError,
-    SingularP,
-    SingularRho,
     UnsupportedRho,
 )
 from .reports import OptimumReport
@@ -85,8 +83,6 @@ __all__ = [
     "OutOfRange",
     "PreconditionError",
     "ProbVector",
-    "SingularP",
-    "SingularRho",
     "UnsupportedRho",
     "cli",
     "core",

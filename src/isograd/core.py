@@ -148,13 +148,29 @@ class ConstraintSet:
 
     @staticmethod
     def pin(indices_values: dict[int, float], label: str = "") -> "ConstraintSet":
-        """Pin individual free coordinates to fixed values; pin i states e_i."""
+        """Pin individual free coordinates to fixed values; pin i states e_i.
+
+        An index must be a non-negative int, and a point the set is read at
+        must have a free coordinate there (else :class:`BadDimension`).
+        """
+        for i in indices_values:
+            if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                    or i < 0):
+                raise PreconditionError(
+                    f"pin index must be a non-negative int, got {i!r}")
         require_finite(indices_values.values())
-        eqs = tuple(((lambda x, i=i: float(x[i])), float(v),
-                     (lambda x, i=i: np.eye(len(x))[i]))
+        label = label or "pin " + ",".join(
+            f"x[{i}]={v:g}" for i, v in indices_values.items())
+
+        def at(x, i):
+            if i >= len(x):
+                raise BadDimension(f"'{label}' pins x[{i}] of a point with "
+                                   f"{len(x)} free coordinates")
+            return i
+        eqs = tuple(((lambda x, i=i: float(x[at(x, i)])), float(v),
+                     (lambda x, i=i: np.eye(len(x))[at(x, i)]))
                     for i, v in indices_values.items())
-        return ConstraintSet(eqs, label or "pin " + ",".join(
-            f"x[{i}]={v:g}" for i, v in indices_values.items()))
+        return ConstraintSet(eqs, label)
 
     def __len__(self) -> int:
         return len(self.equalities)
@@ -351,19 +367,6 @@ def _along(mode: Limit, x: np.ndarray) -> np.ndarray:
         raise PreconditionError(
             f"direction has {d.size} components, expected {x.size}")
     return d
-
-
-def directed_gradient(f: Callable[[np.ndarray], float], at,
-                      direction: Sequence[float]) -> float:
-    """Dot product of the ambient gradient with a unit direction.
-
-    Computed as a central difference along the direction itself, so it exists
-    whenever f is evaluable on the probe segment even if single coordinate
-    partials blow up.
-    """
-    x = _free_coords(at)
-    d = _along(Limit(tuple(direction)), x)
-    return float(_central(lambda y: (f(y),), x, (FD_STEP * d,), FD_STEP)[0, 0])
 
 
 def _classify_ladder(grads: list[np.ndarray]):

@@ -78,13 +78,6 @@ def objective_F(p: ProbVector, space: DieSpace) -> float:
     return space.volume ** 2 * entropy(p)
 
 
-def marginal_entropy_gradient(free: np.ndarray) -> np.ndarray:
-    """Closed-form entropy gradient -log(x_i / x_rest) over free coordinates."""
-    free = np.asarray(free, dtype=float)
-    rest = 1.0 - free.sum()
-    return -np.log(free / rest)
-
-
 def _entropy_on_grid(sides: int, resolution: int):
     """Best entropy on the die's face grid, by max-plus dynamic programming.
 

@@ -52,14 +52,6 @@ class EmptyData(PreconditionError):
     """An estimator was given zero observations."""
 
 
-class SingularP(DomainError):
-    """Correlation surface evaluated at p in {0, 1}, where it is singular."""
-
-
-class SingularRho(DomainError):
-    """Permissible-region boundary requested at rho = 0 (whole square)."""
-
-
 class UnsupportedRho(PreconditionError):
     """Game slice requested for a rho outside {-1, 0, +1}."""
 

@@ -11,10 +11,12 @@ differentiated two ways:
   relation, which is nonzero away from degenerate probes.
 
 Pointwise relations are functions of (x, y, mu_x, mu_y, sigma_x, sigma_y,
-rho); the covariance relation integrates x and y out and lives on
-(mu_x, mu_y, sigma_x, sigma_y, rho).  Relations on the same coordinates are
-the outputs of one statistic, so one ``core.gradients`` call at a point
-differentiates all of them from shared probes.
+rho), built from the private joint, marginal and conditional densities; the
+covariance relation takes the closed-form moments, which integrate x and y
+out, and lives on (mu_x, mu_y, sigma_x, sigma_y, rho).  Relations on the
+same coordinates are the outputs of one statistic, so one
+``core.gradients`` call at a point differentiates all of them from shared
+probes; :func:`check_suite` runs every relation under both readings.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .core import (ConstraintSet, GradientResult, gradients, mode_named,
 from .errors import BadParams, InfeasiblePoint, PreconditionError
 
 TWO_PI = 2.0 * math.pi
-#: Gauss-Legendre nodes per axis; the box spans mu +- QUADRATURE_SPAN * sigma.
-QUADRATURE_NODES = 64
-QUADRATURE_SPAN = 8.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class NormalParams:
 
 
 # ---------------------------------------------------------------------------
-# densities (internal forms are vectorized over x, y and take the parameters
-# unchecked: the relations evaluate them at every finite-difference probe)
+# densities, vectorized over x, y; they take the parameters unchecked, since
+# the relations evaluate them at every finite-difference probe
 
 def _normal(x, mu, sigma):
     z = (np.asarray(x, dtype=float) - mu) / sigma
@@ -75,20 +74,6 @@ def _joint(x, y, mu_x, mu_y, sigma_x, sigma_y, rho):
     return np.exp(-q) / (TWO_PI * sigma_x * sigma_y * math.sqrt(one))
 
 
-def joint_pdf(params: NormalParams, x, y):
-    """Joint density of the correlated pair at (x, y)."""
-    return _joint(x, y, params.mu_x, params.mu_y,
-                  params.sigma_x, params.sigma_y, params.rho)
-
-
-def marginal_pdf_x(params: NormalParams, x):
-    return _normal(x, params.mu_x, params.sigma_x)
-
-
-def marginal_pdf_y(params: NormalParams, y):
-    return _normal(y, params.mu_y, params.sigma_y)
-
-
 def _conditioned_mean(y, mu_x, mu_y, sigma_x, sigma_y, rho):
     return mu_x + rho * (sigma_x / sigma_y) * (y - mu_y)
 
@@ -99,44 +84,12 @@ def _conditional(x, y, mu_x, mu_y, sigma_x, sigma_y, rho):
                    sigma)
 
 
-def conditioned_mean_x(params: NormalParams, y: float) -> float:
-    """Mean of x given y: mu_x + rho (sigma_x/sigma_y)(y - mu_y)."""
-    return _conditioned_mean(y, params.mu_x, params.mu_y,
-                             params.sigma_x, params.sigma_y, params.rho)
-
-
-def conditional_pdf_x_given_y(params: NormalParams, x, y):
-    """Density of x given y: normal with shifted mean, shrunken variance."""
-    return _conditional(x, y, params.mu_x, params.mu_y,
-                        params.sigma_x, params.sigma_y, params.rho)
-
-
 # ---------------------------------------------------------------------------
 # moments
 
 def _moments(mu_x, mu_y, sigma_x, sigma_y, rho) -> dict[str, float]:
     return {"<x>": mu_x, "<y>": mu_y,
             "<xy>": mu_x * mu_y + rho * sigma_x * sigma_y}
-
-
-def closed_moments(params: NormalParams) -> dict[str, float]:
-    """First moments of the joint family in closed form."""
-    return _moments(params.mu_x, params.mu_y, params.sigma_x, params.sigma_y,
-                    params.rho)
-
-
-def quadrature_expectation(params: NormalParams, f) -> float:
-    """E[f(x, y)] by a tensor Gauss-Legendre rule over the quadrature box."""
-    t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-    half_x = QUADRATURE_SPAN * params.sigma_x
-    half_y = QUADRATURE_SPAN * params.sigma_y
-    xs = params.mu_x + half_x * t
-    ys = params.mu_y + half_y * t
-    wx = w * half_x
-    wy = w * half_y
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(f(X, Y), dtype=float) * joint_pdf(params, X, Y)
-    return float(wx @ vals @ wy)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +124,10 @@ RELATIONS = {relation: kind for kind, (_, relations) in STATISTICS.items()
 def analytic_rho_derivative(params: NormalParams, relation: str,
                             probe=None) -> float:
     """d/d(rho) of the relation at rho = 0, in closed form."""
-    kind = _lookup(relation)
-    if kind == "expectation":
+    if relation not in RELATIONS:
+        raise PreconditionError(f"unknown relation {relation!r}; "
+                                f"one of {sorted(RELATIONS)}")
+    if RELATIONS[relation] == "expectation":
         return params.sigma_x * params.sigma_y
     x, y = probe
     u = (x - params.mu_x) / params.sigma_x
@@ -181,18 +136,6 @@ def analytic_rho_derivative(params: NormalParams, relation: str,
         return float(_normal(x, params.mu_x, params.sigma_x)
                      * _normal(y, params.mu_y, params.sigma_y) * u * v)
     return float(_normal(x, params.mu_x, params.sigma_x) * u * v)
-
-
-def _lookup(relation: str) -> str:
-    if relation not in RELATIONS:
-        raise PreconditionError(f"unknown relation {relation!r}; "
-                                f"one of {sorted(RELATIONS)}")
-    return RELATIONS[relation]
-
-
-def _require_rho_zero(params: NormalParams) -> None:
-    if params.rho != 0.0:
-        raise InfeasiblePoint("relations are evaluated at rho = 0")
 
 
 def _kind_gradients(params: NormalParams, kind: str, mode: str,
@@ -211,23 +154,6 @@ def _kind_gradients(params: NormalParams, kind: str, mode: str,
     direction[rho_index] = 1.0
     return gradients(STATISTICS[kind][0], z, mode_named(
         mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
-
-
-def relation_gradients(params: NormalParams, relation: str,
-                       mode: str = "constrained", probe=None) -> GradientResult:
-    """Gradient of one factorization relation under the chosen semantics.
-
-    The point of evaluation always has rho = 0; limit mode supplies the
-    nonzero rho itself, rung by rung.
-    """
-    kind = _lookup(relation)
-    _require_rho_zero(params)
-    if kind == "pointwise" and probe is None:
-        raise PreconditionError(f"{relation} needs a probe (x, y)")
-    if kind != "pointwise" and probe is not None:
-        raise PreconditionError(f"{relation} takes no probe")
-    results = _kind_gradients(params, kind, mode, probe)
-    return results[STATISTICS[kind][1].index(relation)]
 
 
 def rho_component(result: GradientResult) -> float:
@@ -272,7 +198,8 @@ def check_suite(params: NormalParams = DEFAULT_PARAMS,
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise BadParams(f"tol must be positive and finite, got {tol!r}")
-    _require_rho_zero(params)
+    if params.rho != 0.0:
+        raise InfeasiblePoint("relations are evaluated at rho = 0")
     rows = []
     for kind, (_, relations) in STATISTICS.items():
         probe_list = probe_grid(params) if kind == "pointwise" else [None]

@@ -85,7 +85,8 @@ class CountData:
 
     def __post_init__(self):
         for v in self.counts:
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or v < 0):
                 raise PreconditionError(f"counts must be nonnegative ints: {v!r}")
 
     @property
@@ -145,6 +146,7 @@ def conditional_x0_given_y(j, y: int) -> float:
 
 
 def correlation_of_joint(j) -> float:
+    """Pearson correlation (ad - bc) / sqrt((c+d)(a+b)(b+d)(a+c))."""
     a, b, c, d = (float(v) for v in j)
     factors = ((c + d), (a + b), (b + d), (a + c))
     if min(factors) <= 0.0:
@@ -152,11 +154,6 @@ def correlation_of_joint(j) -> float:
             f"marginal with zero variance: factors {factors}")
     return (a * d - b * c) / math.sqrt(
         factors[0] * factors[1] * factors[2] * factors[3])
-
-
-def correlation(p: JointPoint) -> float:
-    """Pearson correlation (ad - bc) / sqrt((c+d)(a+b)(b+d)(a+c))."""
-    return correlation_of_joint(p.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +240,6 @@ def fisher_information(p: JointPoint, mode: str = "constrained") -> np.ndarray:
     """
     _, grads, probs = _pullback(p, mode, "Fisher information")
     return grads.T @ (grads / probs[:, None])
-
-
-def log_likelihood(counts: CountData, j) -> float:
-    """Multinomial log likelihood sum n_o log p_o (0 log 0 = 0)."""
-    n = np.asarray(counts.counts, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if np.any((n > 0) & (j <= 0.0)):
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        logs = np.where(n > 0, np.log(np.where(j > 0, j, 1.0)), 0.0)
-    return float((n * logs).sum())
 
 
 def log_likelihood_gradient(counts: CountData, p: JointPoint,

@@ -5,8 +5,9 @@ to one of four pure reaction plans (mixed representation, weights beta0..beta3
 over the plans (y|x=0, y|x=1) = (0,0), (0,1), (1,0), (1,1)) or plays the
 branch probabilities directly (behavioural representation: q = P(y=1|x=0),
 r = P(y=1|x=1)).  Both induce the same joint distribution on the 4-outcome
-space via p = alpha1, q = beta2+beta3, r = beta1+beta3, and a point's
-moments, entropies and correlation are jointbinary's statistics of that joint.
+space via p = alpha1, q = beta2+beta3, r = beta1+beta3: the cells are
+:func:`mixed_joint_cells` and :func:`behavioural_joint_cells` of the raw
+coordinates, and the table's relations are jointbinary's statistics of them.
 
 The comparison table evaluates a battery of distributional relations in four
 ways: ambient gradients approached down an epsilon ladder in each
@@ -23,11 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import (NORMALIZATION_TOL, PROB_SUM_TOL, Constrained, GradientMode,
-                   Limit, gradients)
-from .errors import OutOfRange, PreconditionError
+from .core import Constrained, GradientMode, Limit, gradients
+from .errors import PreconditionError
 from .jointbinary import (
-    JointPoint,
     conditional_x0_given_y,
     correlation_of_joint,
     entropy_x,
@@ -47,59 +46,8 @@ MIXED_IND_DIRECTION = (0.0, 0.0, 1.0, 0.0)    # step beta2 off beta1 = beta2
 BEHAV_IND_DIRECTION = (0.0, 0.0, 1.0)         # step r off r = q
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not -PROB_SUM_TOL <= value <= 1.0 + PROB_SUM_TOL:
-        raise OutOfRange(f"{name} = {value!r} outside [0, 1]")
-    return min(1.0, max(0.0, value))
-
-
-@dataclass(frozen=True)
-class MixedPoint:
-    """Weights over X's move and Y's four advance-commitment plans."""
-
-    alpha1: float
-    beta1: float
-    beta2: float
-    beta3: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha1",
-                           _check_unit_interval("alpha1", self.alpha1))
-        for name in ("beta1", "beta2", "beta3"):
-            object.__setattr__(self, name,
-                               _check_unit_interval(name, getattr(self, name)))
-        if self.beta1 + self.beta2 + self.beta3 > 1.0 + NORMALIZATION_TOL:
-            raise OutOfRange(
-                f"beta weights sum to {self.beta1 + self.beta2 + self.beta3}")
-
-    @property
-    def beta0(self) -> float:
-        return max(0.0, 1.0 - self.beta1 - self.beta2 - self.beta3)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha1, self.beta1, self.beta2, self.beta3])
-
-
-@dataclass(frozen=True)
-class BehaviouralPoint:
-    """Branch probabilities of the decision tree."""
-
-    p: float
-    q: float
-    r: float
-
-    def __post_init__(self):
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name,
-                               _check_unit_interval(name, getattr(self, name)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.q, self.r])
-
-
 # ---------------------------------------------------------------------------
-# induced joints and the representation mapping
+# induced joints
 
 # joints are tuples of Python floats, not arrays: every table probe builds
 # one and runs ten relations on it, and float64 + - * / round the same either
@@ -121,52 +69,6 @@ def behavioural_joint_cells(z) -> tuple[float, float, float, float]:
             (1.0 - p) * q,
             p * (1.0 - r),
             p * r)
-
-
-def mixed_joint(m: MixedPoint) -> JointPoint:
-    return JointPoint(*mixed_joint_cells(m.as_array()))
-
-
-def behavioural_joint(b: BehaviouralPoint) -> JointPoint:
-    return JointPoint(*behavioural_joint_cells(b.as_array()))
-
-
-def behavioural_from_mixed(m: MixedPoint) -> BehaviouralPoint:
-    """Collapse plan weights to branch probabilities (joint-preserving)."""
-    return BehaviouralPoint(m.alpha1, m.beta2 + m.beta3, m.beta1 + m.beta3)
-
-
-# ---------------------------------------------------------------------------
-# statistics of the joint a point induces
-
-def moments(point) -> dict[str, float]:
-    """Means, variances and entropies of the joint the point induces."""
-    if isinstance(point, MixedPoint):
-        j = mixed_joint_cells(point.as_array())
-    elif isinstance(point, BehaviouralPoint):
-        j = behavioural_joint_cells(point.as_array())
-    else:
-        raise PreconditionError(f"unsupported point type {type(point)!r}")
-    return {
-        "<x>": mean_x(j),
-        "<y>": mean_y(j),
-        "<xy>": mean_xy(j),
-        "V(x)": var_x(j),
-        "V(y)": var_y(j),
-        "E_x": entropy_x(j),
-        "E_y": entropy_y(j),
-        "E_xy": entropy_xy(j),
-    }
-
-
-def mixed_correlation(m: MixedPoint) -> float:
-    """sqrt(a1(1-a1)) (b1-b2) / sqrt(V(y)), the induced joint's correlation."""
-    return correlation_of_joint(mixed_joint_cells(m.as_array()))
-
-
-def behavioural_correlation(b: BehaviouralPoint) -> float:
-    """sqrt(p(1-p)) (r-q) / sqrt(V(y)), the induced joint's correlation."""
-    return correlation_of_joint(behavioural_joint_cells(b.as_array()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 A first coin lands heads with probability ``p``; a second coin lands heads
 with probability ``q`` after tails and ``r`` after heads.  Fixing the
-correlation ``rho`` between the two outcomes carves a surface ``r = r_plus(p,
-q, rho)`` out of the (p, q, r) cube, and each such slice supports its own
-constrained optimum of a payoff that is polylinear in the three
-probabilities.  This module provides the surface geometry (the ``r_plus``
-branch, its continuous extension :func:`surface` and the permissible (p, q)
-:func:`region` of one slice), a discrepancy-style payoff whose value depends
+correlation ``rho`` between the two outcomes carves a surface ``r =
+surface(p, q, rho)`` out of the (p, q, r) cube, and each such slice supports
+its own constrained optimum of a payoff that is polylinear in the three
+probabilities.  This module provides the surface geometry (the upper root of
+the correlation equation, continued to p in {0, 1} by :func:`surface`, and
+the permissible (p, q) pairs of one slice, which :func:`surface_points` and
+:func:`slice_payoff` mask by), a discrepancy-style payoff whose value depends
 on which gradient semantics the optimizer is allowed to use, and
 deterministic maximizers for both.
 
@@ -34,8 +35,6 @@ from .errors import (
     InfeasiblePoint,
     NonFinite,
     OutOfRange,
-    SingularP,
-    SingularRho,
 )
 from .reports import OptimumReport
 
@@ -86,55 +85,24 @@ def _branch_raw(p, q, rho: float):
     return num / den
 
 
-def r_plus(p: float, q: float, rho: float) -> float:
-    """Upper root of the correlation equation: the surface branch.
-
-    For every interior ``p`` and permissible ``q`` the point ``(p, q,
-    r_plus(p, q, rho))`` has outcome correlation exactly ``rho``; at ``rho =
-    0`` the branch collapses to ``r = q`` (independent stages).  The lower
-    root is ``r_plus(p, q, -rho)``.
-    """
-    p, q, rho = float(p), float(q), _validate_rho(rho)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        raise SingularP("the r branches are singular at p=0 and p=1; "
-                        "evaluate one-sided limits explicitly if needed")
-    if not 0.0 <= q <= 1.0:
-        raise OutOfRange(f"q must lie in [0, 1], got {q!r}")
-    return float(_branch_raw(p, q, rho))
-
-
 def _surface_clamped(p, q, rho: float):
-    """r_plus with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided limits)
-    and q into [0, 1], so the RANGE_TOL band of :func:`_mask` reads a
-    finite surface."""
+    """The upper root with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided
+    limits) and q into [0, 1], so the RANGE_TOL band of :func:`_mask` reads
+    a finite surface."""
     p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0 - _P_EDGE)
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
     return _branch_raw(p, q, rho)
 
 
-def permissible_bound(p: float, rho: float) -> float:
-    """The q value where ``r_plus`` exits [0, 1] at this ``p``.
+def _bound_clamped(p, rho: float):
+    """The q where the surface exits [0, 1] at ``p``, with p clipped away
+    from 0; for rho != 0.
 
     For ``rho > 0`` the feasible band is ``0 <= q <= bound`` with ``bound =
     p / (p + rho^2/(1 - rho^2))``; for ``rho < 0`` it is ``bound <= q <= 1``
     with ``bound = 1 / (1 + p (1 - rho^2)/rho^2)``.  On the bound itself the
     surface touches r = 1 (rho > 0) or r = 0 (rho < 0).
     """
-    p, rho = float(p), float(rho)
-    if rho == 0.0:
-        raise SingularRho("every q in [0, 1] is permissible at rho=0; "
-                          "there is no bounding curve")
-    if not -1.0 < rho < 1.0:
-        raise OutOfRange(f"the bound needs rho in (-1, 1) \\ {{0}}, got {rho!r}")
-    if not 0.0 < p <= 1.0:
-        raise OutOfRange(f"p must lie in (0, 1], got {p!r}")
-    return float(_bound_clamped(p, rho))
-
-
-def _bound_clamped(p, rho: float):
-    """Vectorized permissible bound with p clipped away from 0."""
     p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0)
     rho2 = rho * rho
     if rho > 0.0:
@@ -143,26 +111,25 @@ def _bound_clamped(p, rho: float):
 
 
 def surface(p, q, rho: float):
-    """The slice surface r_plus at (p, q), by continuity at p in {0, 1}."""
+    """The slice surface r at (p, q), by continuity at p in {0, 1}.
+
+    It is the upper root of the correlation equation: for every interior
+    ``p`` and permissible ``q`` the point ``(p, q, r)`` has outcome
+    correlation exactly ``rho``.  At ``rho = 0`` it collapses to ``r = q``
+    (independent stages); the lower root is the surface at ``-rho``.
+    """
     return _surface_clamped(p, q, _validate_rho(rho))
 
 
-def region(p, q, rho: float) -> np.ndarray:
-    """Boolean mask of (p, q) pairs whose surface point is permissible.
-
-    Besides ``0 <= r_plus <= 1`` this enforces the bounding curve of
-    :func:`permissible_bound`: the raw range check alone also accepts the
-    q = 1 line (where the root formula degenerates to r = 1 without the
-    correlation being defined there).
-    """
-    rho = _validate_rho(rho)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return _mask(p, q, _surface_clamped(p, q, rho), rho)
-
-
 def _mask(p: np.ndarray, q: np.ndarray, r, rho: float) -> np.ndarray:
-    """:func:`region` given the surface values ``r`` at (p, q)."""
+    """Boolean mask of the (p, q) pairs whose surface value ``r`` is
+    permissible.
+
+    Besides ``0 <= r <= 1`` this enforces the bounding curve of
+    :func:`_bound_clamped`: the range check alone also accepts the q = 1
+    line, where the root formula degenerates to r = 1 without the
+    correlation being defined there.
+    """
     ok = (p >= -RANGE_TOL) & (p <= 1.0 + RANGE_TOL) \
         & (q >= -RANGE_TOL) & (q <= 1.0 + RANGE_TOL)
     if rho == 0.0:
@@ -182,7 +149,7 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
 
     At ``|rho| = 1`` the surface degenerates to the pinned lines
     (p, 0, 1) / (p, 1, 0); otherwise the unit square is meshed at ``grid``
-    points per axis and masked by :func:`region`.
+    points per axis and masked by :func:`_mask`.
     """
     rho = _validate_rho(rho)
     grid = _validate_grid(grid, minimum=2)
@@ -202,11 +169,6 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
 # discrepancy payoff (gradient-semantics sensitive)
 
 
-def agreement_probability(p: float, q: float, r: float) -> float:
-    """Probability that the two stage outcomes coincide: 1 - q + p(q + r - 1)."""
-    return 1.0 - q + p * (q + r - 1.0)
-
-
 def _unconstrained_discrepancy(p, q, r):
     """1 - (q + r - 1)^2 - (1 - p)^2 - p^2, for floats or arrays alike."""
     return 1.0 - (q + r - 1.0) ** 2 - (1.0 - p) ** 2 - p ** 2
@@ -215,6 +177,9 @@ def _unconstrained_discrepancy(p, q, r):
 def discrepancy_payoff(p: float, q: float, r: float,
                        mode: str = "unconstrained") -> float:
     """Payoff 1 - |grad of the agreement probability|^2.
+
+    The agreement probability, the chance that the two stage outcomes
+    coincide, is (1 - p)(1 - q) + pr = 1 - q + p(q + r - 1).
 
     ``"unconstrained"`` takes the gradient over all three coordinates, giving
     ``1 - (q + r - 1)^2 - (1 - p)^2 - p^2``.  ``"constrained"`` pins

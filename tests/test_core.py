@@ -16,7 +16,6 @@ from isograd.core import (
     GradientResult,
     Limit,
     ProbVector,
-    directed_gradient,
     entropy,
     entropy_of_cells,
     entropy_of_free,
@@ -145,38 +144,32 @@ class TestFiniteDifference:
 
 
 class TestDirectedGradient:
-    def test_requires_unit_direction(self):
-        f = lambda x: float(x.sum())
-        with pytest.raises(PreconditionError):
-            directed_gradient(f, np.array([0.5, 0.5]), (0.0, 0.0))
-        with pytest.raises(PreconditionError):
-            directed_gradient(f, np.array([0.5, 0.5]), (1.0, 1.0))
+    """Slopes along a direction: a Limit direction must be a unit vector,
+    and the constrained engine reads the slope along a face's tangent."""
 
-    def test_matches_dot_product_in_interior(self):
-        rng = np.random.default_rng(42)
-        f = lambda x: entropy_of_free(x)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4)) * 0.9 + 0.025
-            p = p / p.sum()
-            x = p[:3]
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            expect = float(finite_difference(f, x) @ d)
-            got = directed_gradient(f, x, d)
-            np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-9)
+    def test_requires_unit_direction(self):
+        with pytest.raises(PreconditionError):
+            Limit((0.0, 0.0))
+        with pytest.raises(PreconditionError):
+            Limit((1.0, 1.0))
 
     def test_entropy_slope_along_coin_line(self):
-        # full entropy along (1,-1,0)/sqrt(2) through (a, 1-a, 0, 0):
-        # the slope is log((1-a)/a)/sqrt(2) even though single-coordinate
-        # partials blow up on this face (d = 0)
-        d = (1.0 / SQRT2, -1.0 / SQRT2, 0.0)
+        # full entropy along (1,-1,0)/sqrt(2) through (a, 1-a, 0, 0), the one
+        # tangent of the face c = d = 0: the slope is log((1-a)/a)/sqrt(2)
+        # even though single-coordinate partials blow up on this face (d = 0)
+        face = ConstraintSet((
+            (lambda x: float(x[2]), 0.0, lambda x: np.eye(3)[2]),
+            (lambda x: float(1.0 - x.sum()), 0.0, lambda x: -np.ones(3))),
+            "c=d=0")
         for a in (0.2, 0.3, 0.5, 0.7):
-            got = directed_gradient(joint_entropy, np.array([a, 1 - a, 0.0]), d)
+            res = gradient(joint_entropy, np.array([a, 1 - a, 0.0]),
+                           Constrained(face))
+            np.testing.assert_allclose(res.basis, [(1 / SQRT2, -1 / SQRT2, 0)],
+                                       atol=1e-15)
             np.testing.assert_allclose(
-                got, math.log((1 - a) / a) / SQRT2, atol=1e-6)
-            assert directed_gradient(
-                joint_entropy, np.array([0.5, 0.5, 0.0]), d) == pytest.approx(
-                    0.0, abs=1e-9)
+                res.components, [math.log((1 - a) / a) / SQRT2], atol=1e-6)
+            if a == 0.5:
+                assert res.components[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestConstrainedGradient:
@@ -201,6 +194,22 @@ class TestConstrainedGradient:
         with pytest.raises(InfeasiblePoint):
             gradient(joint_entropy, resolve((0.25, 0.25, 0.25, 0.25)),
                      Constrained(cs))
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True, np.float64(0.0), "0"])
+    def test_pin_rejects_a_bad_index(self, index):
+        # -1 would pin the last free coordinate through negative indexing
+        with pytest.raises(PreconditionError, match="non-negative int"):
+            ConstraintSet.pin({index: 0.3})
+
+    def test_pin_past_the_free_coordinates(self):
+        cs = ConstraintSet.pin({5: 0.0}, "far pin")
+        message = r"'far pin' pins x\[5\] of a point with 2 free coordinates"
+        with pytest.raises(BadDimension, match=message):
+            gradient(lambda x: float(x.sum()), [0.2, 0.3], Constrained(cs))
+        with pytest.raises(BadDimension, match=r"'pin x\[2\]=0'"):
+            ConstraintSet.pin({2: 0.0}).basis(np.array([0.2, 0.3]))
+        numpy_index = ConstraintSet.pin({np.int64(1): 0.0})
+        assert numpy_index.basis(np.array([0.2, 0.3])).shape == (2, 1)
 
     def test_dimension_drops_by_rank_not_count(self):
         # duplicated constraint counts once
@@ -321,10 +330,6 @@ class TestNonFinitePoints:
     def test_finite_difference_rejects(self, bad):
         with pytest.raises(NonFinite):
             finite_difference(lambda x: 1.0, [0.5, bad])
-
-    def test_directed_gradient_rejects(self):
-        with pytest.raises(NonFinite):
-            directed_gradient(lambda x: 1.0, [math.nan], (1.0,))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_pin_rejects_a_non_finite_target(self, bad):

@@ -8,7 +8,7 @@ import pytest
 
 from isograd.core import (
     Constrained,
-    directed_gradient,
+    entropy_of_cells,
     entropy_of_free,
     finite_difference,
     gradient,
@@ -22,13 +22,13 @@ from isograd.dice import (
     COIN,
     SQUARE,
     TRIANGLE,
-    marginal_entropy_gradient,
     maximize_constrained_target,
     maximize_per_space,
     maximize_unconstrained,
     objective_F,
 )
 from isograd.errors import InfeasiblePoint, NonFinite
+from oracles import marginal_entropy_gradient
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -93,10 +93,23 @@ class TestClosedFormGradients:
 
 
 class TestDirectedGradient:
+    """The slope along the coin line (a, 1 - a, 0, 0), read by the
+    constrained engine on the Coin face, whose one tangent is DIR."""
+
     DIR = (1.0 / math.sqrt(2), -1.0 / math.sqrt(2), 0.0)
 
     def _payoff(self, free):
-        return SQUARE.volume ** 2 * entropy_of_free(free)
+        # the Coin face's tangent comes from differenced constraint rows, off
+        # DIR by ~2e-11, so a probe can leave the face by a rounding error:
+        # read the resolved cell there as 0
+        rest = max(0.0, 1.0 - math.fsum(free))
+        return SQUARE.volume ** 2 * entropy_of_cells((*free, rest))
+
+    def _slope(self, a):
+        res = gradient(self._payoff, resolve((a, 1 - a, 0.0, 0.0)),
+                       Constrained(COIN.embedding))
+        assert len(res.components) == 1
+        return res.components[0]
 
     def test_slope_along_coin_line(self):
         # true directional derivative of V^2 E along (1,-1,0)/sqrt(2) at
@@ -104,24 +117,19 @@ class TestDirectedGradient:
         # difference is finite
         v2 = SQUARE.volume ** 2
         for a in (0.2, 0.35, 0.6, 0.8):
-            got = directed_gradient(self._payoff, np.array([a, 1 - a, 0.0]),
-                                    self.DIR)
             want = v2 * math.log((1 - a) / a) / math.sqrt(2)
-            np.testing.assert_allclose(got, want, atol=1e-6)
+            np.testing.assert_allclose(self._slope(a), want, atol=1e-6)
 
     def test_optimum_at_half(self):
-        got = directed_gradient(self._payoff, np.array([0.5, 0.5, 0.0]),
-                                self.DIR)
-        assert got == pytest.approx(0.0, abs=1e-9)
+        assert self._slope(0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_agrees_with_constrained_engine_on_coin_face(self):
         # the coin face tangent is exactly this direction, so the constrained
-        # engine's single component must equal the directed slope
+        # engine's single component is the directed slope
         res = gradient(self._payoff, resolve((0.3, 0.7, 0.0, 0.0)),
                        Constrained(COIN.embedding))
-        assert len(res.components) == 1
-        want = directed_gradient(self._payoff, np.array([0.3, 0.7, 0.0]),
-                                 self.DIR)
+        np.testing.assert_allclose(res.basis, (self.DIR,), atol=1e-9)
+        want = SQUARE.volume ** 2 * math.log(0.7 / 0.3) / math.sqrt(2)
         np.testing.assert_allclose(res.components[0], want, rtol=1e-6,
                                    atol=1e-9)
 

@@ -29,14 +29,13 @@ from isograd.jointbinary import (
     CountData,
     JointPoint,
     conditional_x0_given_y,
-    correlation,
+    correlation_of_joint,
     entropy_gradient,
     entropy_x,
     entropy_xy,
     entropy_y,
     fisher_information,
     joint_from_free,
-    log_likelihood,
     log_likelihood_gradient,
     mean_x,
     mean_xy,
@@ -46,6 +45,7 @@ from isograd.jointbinary import (
     var_x,
     var_y,
 )
+from oracles import log_likelihood
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,6 +83,8 @@ class TestCountData:
             CountData(-1, 0, 0, 1)
         with pytest.raises(PreconditionError):
             CountData(1.5, 0, 0, 1)
+        with pytest.raises(PreconditionError):
+            CountData(True, 0, 0, 1)
 
 
 class TestJointStatistics:
@@ -113,34 +115,34 @@ class TestJointStatistics:
 
 class TestCorrelation:
     def test_perfectly_correlated(self):
-        assert correlation(JointPoint(0.5, 0.0, 0.0, 0.5)) == 1.0
-        assert correlation(JointPoint(0.3, 0.0, 0.0, 0.7)) == 1.0
+        assert correlation_of_joint((0.5, 0.0, 0.0, 0.5)) == 1.0
+        assert correlation_of_joint((0.3, 0.0, 0.0, 0.7)) == 1.0
 
     def test_perfectly_anticorrelated(self):
-        assert correlation(JointPoint(0.0, 0.5, 0.5, 0.0)) == -1.0
+        assert correlation_of_joint((0.0, 0.5, 0.5, 0.0)) == -1.0
 
     def test_independent_is_zero(self):
-        assert correlation(JointPoint(0.25, 0.25, 0.25, 0.25)) == 0.0
-        assert correlation(JointPoint(0.24, 0.16, 0.36, 0.24)) == pytest.approx(
+        assert correlation_of_joint((0.25, 0.25, 0.25, 0.25)) == 0.0
+        assert correlation_of_joint((0.24, 0.16, 0.36, 0.24)) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_known_value(self):
         # ad - bc = 0.1, all four marginal factors give sqrt(0.06)
-        rho = correlation(JointPoint(0.4, 0.1, 0.2, 0.3))
+        rho = correlation_of_joint((0.4, 0.1, 0.2, 0.3))
         assert rho == pytest.approx(0.1 / math.sqrt(0.06), rel=1e-12)
 
     def test_degenerate_marginals(self):
         with pytest.raises(DegenerateMarginal):
-            correlation(JointPoint(0.5, 0.5, 0.0, 0.0))   # x never 1
+            correlation_of_joint((0.5, 0.5, 0.0, 0.0))   # x never 1
         with pytest.raises(DegenerateMarginal):
-            correlation(JointPoint(0.7, 0.0, 0.3, 0.0))   # y never 1
+            correlation_of_joint((0.7, 0.0, 0.3, 0.0))   # y never 1
 
     def test_bounded_on_random_joints(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
             j = rng.dirichlet(np.ones(4))
             p = JointPoint(*j)
-            assert abs(correlation(p)) <= 1.0 + 1e-12
+            assert abs(correlation_of_joint(p.probs)) <= 1.0 + 1e-12
 
 
 class TestEntropyGradient:

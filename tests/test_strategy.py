@@ -8,151 +8,123 @@ import pytest
 
 from isograd import jointbinary, strategy
 from isograd.core import gradient
-from isograd.errors import DegenerateMarginal, OutOfRange, PreconditionError
+from isograd.errors import DegenerateMarginal, PreconditionError
+from isograd.jointbinary import JointPoint, correlation_of_joint
 from isograd.strategy import (
     CASES,
-    BehaviouralPoint,
-    MixedPoint,
-    behavioural_correlation,
-    behavioural_from_mixed,
-    behavioural_joint,
     behavioural_joint_cells,
-    mixed_correlation,
-    mixed_joint,
     mixed_joint_cells,
-    moments,
     sample_points,
     table1,
 )
 
 
-class TestPoints:
-    def test_mixed_validation(self):
-        m = MixedPoint(0.5, 0.2, 0.1, 0.3)
-        assert m.beta0 == pytest.approx(0.4, abs=1e-15)
-        with pytest.raises(OutOfRange):
-            MixedPoint(1.2, 0.0, 0.0, 0.0)
-        with pytest.raises(OutOfRange):
-            MixedPoint(0.5, 0.6, 0.6, 0.0)
-        with pytest.raises(OutOfRange):
-            MixedPoint(0.5, -0.1, 0.0, 0.0)
-
-    def test_behavioural_validation(self):
-        BehaviouralPoint(0.0, 0.5, 1.0)
-        with pytest.raises(OutOfRange):
-            BehaviouralPoint(0.5, 1.5, 0.0)
-
-
 class TestInducedJoints:
     def test_pure_strategies(self):
-        assert mixed_joint(MixedPoint(1.0, 1.0, 0.0, 0.0)).probs == \
-            (0.0, 0.0, 0.0, 1.0)
+        assert mixed_joint_cells((1.0, 1.0, 0.0, 0.0)) == (0.0, 0.0, 0.0, 1.0)
 
     def test_correlated_mixed_point(self):
-        assert mixed_joint(MixedPoint(0.5, 1.0, 0.0, 0.0)).probs == \
-            (0.5, 0.0, 0.0, 0.5)
+        assert mixed_joint_cells((0.5, 1.0, 0.0, 0.0)) == (0.5, 0.0, 0.0, 0.5)
 
     def test_independent_mixed_point(self):
-        j = mixed_joint(MixedPoint(0.5, 0.25, 0.25, 0.0))
-        assert j.a * j.d == pytest.approx(j.b * j.c, abs=1e-15)
+        a, b, c, d = mixed_joint_cells((0.5, 0.25, 0.25, 0.0))
+        assert a * d == pytest.approx(b * c, abs=1e-15)
 
     def test_behavioural_extremes(self):
-        assert behavioural_joint(BehaviouralPoint(0.5, 0.0, 1.0)).probs == \
-            (0.5, 0.0, 0.0, 0.5)
-        assert behavioural_joint(BehaviouralPoint(0.5, 1.0, 0.0)).probs == \
-            (0.0, 0.5, 0.5, 0.0)
+        assert behavioural_joint_cells((0.5, 0.0, 1.0)) == (0.5, 0.0, 0.0, 0.5)
+        assert behavioural_joint_cells((0.5, 1.0, 0.0)) == (0.0, 0.5, 0.5, 0.0)
 
     def test_behavioural_independence_when_branches_agree(self):
-        j = behavioural_joint(BehaviouralPoint(0.4, 0.3, 0.3))
-        assert j.a * j.d == pytest.approx(j.b * j.c, abs=1e-15)
+        a, b, c, d = behavioural_joint_cells((0.4, 0.3, 0.3))
+        assert a * d == pytest.approx(b * c, abs=1e-15)
 
     def test_mapping_preserves_joint(self):
+        # (p, q, r) = (alpha1, beta2 + beta3, beta1 + beta3)
         rng = np.random.default_rng(42)
         for _ in range(10_000):
             betas = rng.dirichlet(np.ones(4))
-            m = MixedPoint(rng.uniform(), betas[1], betas[2], betas[3])
-            direct = mixed_joint(m).probs
-            via_map = behavioural_joint(behavioural_from_mixed(m)).probs
+            a1, b1, b2, b3 = rng.uniform(), betas[1], betas[2], betas[3]
+            direct = mixed_joint_cells((a1, b1, b2, b3))
+            via_map = behavioural_joint_cells((a1, b2 + b3, b1 + b3))
             np.testing.assert_allclose(direct, via_map, atol=1e-12)
 
 
 class TestCorrelations:
     def test_behavioural_perfect(self):
         for p in (0.2, 0.5, 0.8):
-            assert behavioural_correlation(BehaviouralPoint(p, 0.0, 1.0)) == \
-                pytest.approx(1.0, rel=1e-14)
-            assert behavioural_correlation(BehaviouralPoint(p, 1.0, 0.0)) == \
-                pytest.approx(-1.0, rel=1e-14)
+            assert correlation_of_joint(behavioural_joint_cells(
+                (p, 0.0, 1.0))) == pytest.approx(1.0, rel=1e-14)
+            assert correlation_of_joint(behavioural_joint_cells(
+                (p, 1.0, 0.0))) == pytest.approx(-1.0, rel=1e-14)
 
     def test_behavioural_uncorrelated_branches(self):
-        assert behavioural_correlation(BehaviouralPoint(0.3, 0.4, 0.4)) == 0.0
+        assert correlation_of_joint(
+            behavioural_joint_cells((0.3, 0.4, 0.4))) == 0.0
 
     def test_mixed_perfect(self):
-        assert mixed_correlation(MixedPoint(0.5, 1.0, 0.0, 0.0)) == \
-            pytest.approx(1.0, rel=1e-14)
+        assert correlation_of_joint(mixed_joint_cells(
+            (0.5, 1.0, 0.0, 0.0))) == pytest.approx(1.0, rel=1e-14)
 
     def test_three_routes_agree(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             betas = rng.dirichlet(np.ones(4))
-            m = MixedPoint(rng.uniform(0.05, 0.95),
-                           betas[1], betas[2], betas[3])
-            rho_m = mixed_correlation(m)
-            rho_b = behavioural_correlation(behavioural_from_mixed(m))
-            rho_j = jointbinary.correlation(mixed_joint(m))
+            a1, b1, b2, b3 = (rng.uniform(0.05, 0.95),
+                              betas[1], betas[2], betas[3])
+            cells = mixed_joint_cells((a1, b1, b2, b3))
+            rho_m = correlation_of_joint(cells)
+            rho_b = correlation_of_joint(
+                behavioural_joint_cells((a1, b2 + b3, b1 + b3)))
+            rho_j = correlation_of_joint(JointPoint(*cells).probs)
             assert rho_m == pytest.approx(rho_b, abs=1e-10)
             assert rho_m == pytest.approx(rho_j, abs=1e-10)
 
     def test_degenerate_marginals(self):
         with pytest.raises(DegenerateMarginal):
-            mixed_correlation(MixedPoint(0.0, 1.0, 0.0, 0.0))
+            correlation_of_joint(mixed_joint_cells((0.0, 1.0, 0.0, 0.0)))
         with pytest.raises(DegenerateMarginal):
-            behavioural_correlation(BehaviouralPoint(0.0, 0.3, 0.7))
+            correlation_of_joint(behavioural_joint_cells((0.0, 0.3, 0.7)))
         with pytest.raises(DegenerateMarginal):
-            behavioural_correlation(BehaviouralPoint(0.5, 0.0, 0.0))
+            correlation_of_joint(behavioural_joint_cells((0.5, 0.0, 0.0)))
 
 
 class TestMoments:
+    """jointbinary's statistics of the cells a strategy induces."""
+
     def test_independent_fair_coins(self):
-        m = moments(BehaviouralPoint(0.5, 0.5, 0.5))
-        assert m["<x>"] == m["<y>"] == 0.5
-        assert m["<xy>"] == 0.25
-        assert m["V(x)"] == m["V(y)"] == 0.25
-        assert m["E_x"] == m["E_y"] == pytest.approx(math.log(2), rel=1e-14)
-        assert m["E_xy"] == pytest.approx(math.log(4), rel=1e-14)
+        j = behavioural_joint_cells((0.5, 0.5, 0.5))
+        assert jointbinary.mean_x(j) == jointbinary.mean_y(j) == 0.5
+        assert jointbinary.mean_xy(j) == 0.25
+        assert jointbinary.var_x(j) == jointbinary.var_y(j) == 0.25
+        assert jointbinary.entropy_x(j) == jointbinary.entropy_y(j) == \
+            pytest.approx(math.log(2), rel=1e-14)
+        assert jointbinary.entropy_xy(j) == pytest.approx(math.log(4),
+                                                          rel=1e-14)
 
     def test_always_play_one(self):
-        m = moments(MixedPoint(0.3, 0.0, 0.0, 1.0))
-        assert m["<y>"] == 1.0
-        assert m["V(y)"] == 0.0
-        assert m["E_y"] == 0.0
+        j = mixed_joint_cells((0.3, 0.0, 0.0, 1.0))
+        assert jointbinary.mean_y(j) == 1.0
+        assert jointbinary.var_y(j) == 0.0
+        assert jointbinary.entropy_y(j) == 0.0
 
     def test_functional_equality_under_perfect_correlation(self):
-        m = moments(BehaviouralPoint(0.3, 0.0, 1.0))
-        assert m["<x>"] == m["<y>"] == m["<xy>"] == pytest.approx(0.3)
+        j = behavioural_joint_cells((0.3, 0.0, 1.0))
+        assert jointbinary.mean_x(j) == jointbinary.mean_y(j) == \
+            jointbinary.mean_xy(j) == pytest.approx(0.3)
 
     def test_matches_joint_statistics(self):
+        # the table's raw cells read the same as the validated joint point
+        stats = (jointbinary.mean_x, jointbinary.mean_y, jointbinary.mean_xy,
+                 jointbinary.var_x, jointbinary.var_y, jointbinary.entropy_x,
+                 jointbinary.entropy_y, jointbinary.entropy_xy)
         rng = np.random.default_rng(42)
         for _ in range(50):
             betas = rng.dirichlet(np.ones(4))
-            mp = MixedPoint(rng.uniform(), betas[1], betas[2], betas[3])
-            bp = BehaviouralPoint(*rng.uniform(size=3))
-            for point, joint in ((mp, mixed_joint(mp)),
-                                 (bp, behavioural_joint(bp))):
-                m = moments(point)
-                j = joint.probs
-                assert m["<x>"] == pytest.approx(jointbinary.mean_x(j), abs=1e-12)
-                assert m["<y>"] == pytest.approx(jointbinary.mean_y(j), abs=1e-12)
-                assert m["<xy>"] == pytest.approx(jointbinary.mean_xy(j), abs=1e-12)
-                assert m["V(x)"] == pytest.approx(jointbinary.var_x(j), abs=1e-12)
-                assert m["V(y)"] == pytest.approx(jointbinary.var_y(j), abs=1e-12)
-                assert m["E_x"] == pytest.approx(jointbinary.entropy_x(j), abs=1e-12)
-                assert m["E_y"] == pytest.approx(jointbinary.entropy_y(j), abs=1e-12)
-                assert m["E_xy"] == pytest.approx(jointbinary.entropy_xy(j), abs=1e-12)
-
-    def test_rejects_other_types(self):
-        with pytest.raises(PreconditionError):
-            moments((0.5, 0.5, 0.5))
+            for cells in (mixed_joint_cells((rng.uniform(), *betas[1:])),
+                          behavioural_joint_cells(rng.uniform(size=3))):
+                j = JointPoint(*cells).probs
+                for stat in stats:
+                    assert stat(cells) == pytest.approx(stat(j), abs=1e-12)
 
 
 @pytest.fixture(scope="module")

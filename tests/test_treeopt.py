@@ -17,10 +17,9 @@ from isograd.errors import (
     InfeasiblePoint,
     NonFinite,
     OutOfRange,
-    SingularP,
-    SingularRho,
 )
-from isograd.strategy import BehaviouralPoint, behavioural_correlation
+from isograd.jointbinary import correlation_of_joint
+from isograd.strategy import behavioural_joint_cells
 
 # (rho, optimal value, optimal point) of the standard sweep; frozen expected
 # values, points quoted to the precision they are reported at.
@@ -38,7 +37,21 @@ SWEEP_TABLE = (
 
 
 def _correlation(p: float, q: float, r: float) -> float:
-    return behavioural_correlation(BehaviouralPoint(p, q, r))
+    return correlation_of_joint(behavioural_joint_cells((p, q, r)))
+
+
+def _region(p, q, rho: float):
+    """Mask of the permissible (p, q) pairs of one slice, as
+    :func:`treeopt.surface_points` and :func:`treeopt.slice_payoff` read it."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return treeopt._mask(p, q, treeopt.surface(p, q, rho), rho)
+
+
+def _agreement(z) -> float:
+    """Probability that the two stage outcomes coincide: the diagonal mass
+    (1 - p)(1 - q) + pr."""
+    p, q, r = z
+    return (1.0 - p) * (1.0 - q) + p * r
 
 
 class TestRootBranches:
@@ -47,14 +60,14 @@ class TestRootBranches:
         q = np.linspace(0.0, 1.0, 50)
         for pi in p:
             for qi in q:
-                assert abs(treeopt.r_plus(pi, qi, 0.0) - qi) < 1e-12
+                assert abs(treeopt.surface(pi, qi, 0.0) - qi) < 1e-12
 
     def test_known_exact_value(self):
-        # the discriminant is a perfect square here: r_plus = 3/4 exactly
-        assert treeopt.r_plus(0.5, 0.25, 0.5) == pytest.approx(0.75, abs=1e-12)
+        # the discriminant is a perfect square here: r = 3/4 exactly
+        assert treeopt.surface(0.5, 0.25, 0.5) == pytest.approx(0.75, abs=1e-12)
 
     def test_root_recovers_target_correlation(self):
-        r = treeopt.r_plus(0.5, 0.25, 0.5)
+        r = treeopt.surface(0.5, 0.25, 0.5)
         assert abs(_correlation(0.5, 0.25, r) - 0.5) < 1e-8
 
     def test_correlation_recovery_across_band(self):
@@ -64,9 +77,9 @@ class TestRootBranches:
             u = rng.uniform(0.005, 0.995, size=10_000)
             worst = 0.0
             for pi, ui in zip(p, u):
-                b = treeopt.permissible_bound(pi, rho)
+                b = treeopt._bound_clamped(pi, rho)
                 qi = ui * b if rho > 0 else b + ui * (1.0 - b)
-                r = treeopt.r_plus(pi, qi, rho)
+                r = treeopt.surface(pi, qi, rho)
                 worst = max(worst, abs(_correlation(pi, qi, r) - rho))
             assert worst < 1e-8, f"rho={rho}: worst recovery error {worst}"
 
@@ -77,8 +90,8 @@ class TestRootBranches:
         for _ in range(50):
             p = rng.uniform(0.05, 0.95)
             rho = rng.uniform(0.05, 0.95)
-            q = rng.uniform(0.01, 0.99) * treeopt.permissible_bound(p, rho)
-            lo = treeopt.r_plus(p, q, -rho)
+            q = rng.uniform(0.01, 0.99) * treeopt._bound_clamped(p, rho)
+            lo = treeopt.surface(p, q, -rho)
             if 0.0 < lo < 1.0:
                 assert abs(_correlation(p, q, lo) + rho) < 1e-8
                 checked += 1
@@ -90,45 +103,48 @@ class TestRootBranches:
         # is why the region predicate must not rely on the range check alone
         for p in np.linspace(0.05, 0.95, 7):
             for rho in (0.25, 0.5, 0.75):
-                assert treeopt.r_plus(p, 1.0, rho) == pytest.approx(1.0, abs=1e-12)
+                assert treeopt.surface(p, 1.0, rho) == pytest.approx(
+                    1.0, abs=1e-12)
 
     def test_extreme_rho_is_finite(self):
-        assert treeopt.r_plus(0.5, 0.25, 1.0) >= 1.0
-        assert treeopt.r_plus(0.5, 0.25, -1.0) <= 0.0
+        assert treeopt.surface(0.5, 0.25, 1.0) >= 1.0
+        assert treeopt.surface(0.5, 0.25, -1.0) <= 0.0
 
     def test_singular_p(self):
-        with pytest.raises(SingularP):
-            treeopt.r_plus(0.0, 0.5, 0.5)
-        with pytest.raises(SingularP):
-            treeopt.r_plus(1.0, 0.5, 0.5)
+        # the root is singular at p in {0, 1}: the surface reads it at p
+        # clipped _P_EDGE inside, where it is finite
+        for p, inside in ((0.0, treeopt._P_EDGE), (1.0, 1.0 - treeopt._P_EDGE)):
+            r = treeopt.surface(p, 0.5, 0.5)
+            assert np.isfinite(r)
+            assert r == treeopt.surface(inside, 0.5, 0.5)
 
     def test_out_of_range_arguments(self):
+        # p and q outside [0, 1] are clipped into it; rho outside [-1, 1] is
+        # refused
+        assert treeopt.surface(-0.1, 0.5, 0.5) == treeopt.surface(0.0, 0.5, 0.5)
+        assert treeopt.surface(0.5, 1.1, 0.5) == treeopt.surface(0.5, 1.0, 0.5)
         with pytest.raises(OutOfRange):
-            treeopt.r_plus(-0.1, 0.5, 0.5)
-        with pytest.raises(OutOfRange):
-            treeopt.r_plus(0.5, 1.1, 0.5)
-        with pytest.raises(OutOfRange):
-            treeopt.r_plus(0.5, 0.5, 1.0001)
+            treeopt.surface(0.5, 0.5, 1.0001)
 
 
 class TestPermissibleBound:
     def test_positive_rho_example(self):
         # p/(p + 1/3) at p = 0.4831; the rho=+0.5 optimum sits on this curve
-        assert treeopt.permissible_bound(0.4831, 0.5) == pytest.approx(
+        assert treeopt._bound_clamped(0.4831, 0.5) == pytest.approx(
             0.5917, abs=1e-4)
 
     def test_negative_rho_at_p_one(self):
-        assert treeopt.permissible_bound(1.0, -0.5) == pytest.approx(
+        assert treeopt._bound_clamped(1.0, -0.5) == pytest.approx(
             0.25, abs=1e-12)
 
     def test_small_rho_limit_fills_square(self):
         for p in (0.01, 0.3, 0.99):
-            assert treeopt.permissible_bound(p, 1e-6) == pytest.approx(
+            assert treeopt._bound_clamped(p, 1e-6) == pytest.approx(
                 1.0, abs=1e-5)
 
     def test_near_unit_rho_pins_q_to_zero(self):
         for p in (0.1, 0.5, 0.9):
-            assert treeopt.permissible_bound(p, 0.9999) < 1e-3
+            assert treeopt._bound_clamped(p, 0.9999) < 1e-3
 
     def test_bound_separates_range_success_from_violation(self):
         rng = np.random.default_rng(7)
@@ -136,8 +152,8 @@ class TestPermissibleBound:
             p = rng.uniform(0.02, 0.98, size=400)
             q = rng.uniform(0.0, 1.0, size=400)
             for pi, qi in zip(p, q):
-                b = treeopt.permissible_bound(pi, rho)
-                r = treeopt.r_plus(pi, qi, rho)
+                b = treeopt._bound_clamped(pi, rho)
+                r = treeopt.surface(pi, qi, rho)
                 inside = qi <= b - 1e-6 if rho > 0 else qi >= b + 1e-6
                 outside = qi >= b + 1e-6 if rho > 0 else qi <= b - 1e-6
                 if inside:
@@ -146,16 +162,15 @@ class TestPermissibleBound:
                     assert not -1e-9 <= r <= 1.0 + 1e-9
 
     def test_singular_rho(self):
-        with pytest.raises(SingularRho):
-            treeopt.permissible_bound(0.5, 0.0)
+        # at rho = 0 there is no bounding curve: every q in [0, 1] passes
+        assert _region(0.5, np.linspace(0.0, 1.0, 11), 0.0).all()
 
     def test_domain_validation(self):
-        with pytest.raises(OutOfRange):
-            treeopt.permissible_bound(0.0, 0.5)
-        with pytest.raises(OutOfRange):
-            treeopt.permissible_bound(1.2, 0.5)
-        with pytest.raises(OutOfRange):
-            treeopt.permissible_bound(0.5, 1.0)
+        # p is clipped into [_P_EDGE, 1], so the bound is finite at p = 0
+        assert treeopt._bound_clamped(0.0, 0.5) == treeopt._bound_clamped(
+            treeopt._P_EDGE, 0.5)
+        assert treeopt._bound_clamped(1.2, 0.5) == treeopt._bound_clamped(
+            1.0, 0.5)
 
 
 class TestCorrelationSlice:
@@ -169,31 +184,31 @@ class TestCorrelationSlice:
         g = np.linspace(0.0, 1.0, 101)
         P, Q = np.meshgrid(g, g, indexing="ij")
         for rho in (0.6, 0.25, -0.25, -0.6):
-            mask = treeopt.region(P, Q, rho)
+            mask = _region(P, Q, rho)
             assert mask.any()
             r = treeopt.surface(P, Q, rho)[mask]
             assert r.min() >= -1e-9 and r.max() <= 1.0 + 1e-9
 
     def test_region_excludes_degenerate_top_edge(self):
-        assert not treeopt.region(0.3, 1.0, 0.5)
+        assert not _region(0.3, 1.0, 0.5)
         # for negative rho the top edge is a genuine part of the band
-        assert treeopt.region(0.3, 1.0, -0.5)
+        assert _region(0.3, 1.0, -0.5)
 
     def test_region_excludes_degenerate_bottom_edge_for_negative_rho(self):
-        assert not treeopt.region(0.3, 0.0, -0.5)
-        assert treeopt.region(0.3, 0.0, 0.5)
+        assert not _region(0.3, 0.0, -0.5)
+        assert _region(0.3, 0.0, 0.5)
 
     def test_region_tolerance_edges(self):
         # p is accepted up to 1e-9 past each edge of [0, 1], not further
         p = np.array([-1e-9, 1.0 + 1e-9, -1.1e-9, 1.0 + 1.1e-9, 0.0, 1.0])
-        np.testing.assert_array_equal(treeopt.region(p, 0.5, 0.0),
+        np.testing.assert_array_equal(_region(p, 0.5, 0.0),
                                       [True, True, False, False, True, True])
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
             treeopt.surface(0.3, 0.5, 1.5)
         with pytest.raises(OutOfRange):
-            treeopt.region(0.3, 0.5, -1.5)
+            treeopt.surface_points(-1.5)
 
 
 class TestSurfacePoints:
@@ -224,33 +239,18 @@ class TestDiscrepancyPayoff:
         assert treeopt.discrepancy_payoff(
             0.37, 0.0, 1.0, mode="constrained") == pytest.approx(1.0)
 
-    def test_agreement_probability_is_the_diagonal_mass(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            p, q, r = rng.uniform(0.0, 1.0, size=3)
-            diag = (1.0 - p) * (1.0 - q) + p * r
-            assert treeopt.agreement_probability(p, q, r) == pytest.approx(
-                diag, abs=1e-12)
-
     def test_unconstrained_matches_ambient_engine(self):
         rng = np.random.default_rng(42)
-
-        def f(z):
-            return treeopt.agreement_probability(z[0], z[1], z[2])
-
         for _ in range(20):
             p, q, r = rng.uniform(0.05, 0.95, size=3)
-            g = core.finite_difference(f, np.array([p, q, r]))
+            g = core.finite_difference(_agreement, np.array([p, q, r]))
             engine = 1.0 - float(np.dot(g, g))
             assert treeopt.discrepancy_payoff(p, q, r) == pytest.approx(
                 engine, abs=1e-9)
 
     def test_constrained_matches_pinned_engine(self):
-        def f(z):
-            return treeopt.agreement_probability(z[0], z[1], z[2])
-
         for p in (0.0, 0.37, 1.0):
-            res = core.gradient(f, np.array([p, 0.0, 1.0]),
+            res = core.gradient(_agreement, np.array([p, 0.0, 1.0]),
                                 Constrained(ConstraintSet.pin({1: 0.0, 2: 1.0})))
             assert res.kind == "finite" and len(res) == 1
             np.testing.assert_allclose(res.basis, [(1.0, 0.0, 0.0)], atol=1e-9)
@@ -338,14 +338,14 @@ class TestSlicePayoff:
 
     def test_value_on_bound_curve(self):
         p = 0.4831
-        q = treeopt.permissible_bound(p, 0.5)
+        q = treeopt._bound_clamped(p, 0.5)
         assert treeopt.slice_payoff(p, q, 0.5) == pytest.approx(1.40068, abs=1e-3)
 
     @pytest.mark.parametrize("q", [1.0 + 1e-9, -1e-9])
     def test_tolerance_band_is_finite(self, q):
         # region accepts q up to RANGE_TOL outside [0, 1]; the payoff there
         # reads the surface at the clipped q (no sqrt of a negative, no NaN)
-        assert treeopt.region(0.5, q, 0.0)
+        assert _region(0.5, q, 0.0)
         value = treeopt.slice_payoff(0.5, q, 0.0)
         assert math.isfinite(value)
         edge = treeopt.slice_payoff(0.5, min(max(q, 0.0), 1.0), 0.0)
@@ -390,7 +390,7 @@ class TestMaximizePayoffOnSlice:
             rep = treeopt.maximize_payoff_on_slice(rho)
             p, q, r = rep.point
             assert abs(r - float(treeopt.surface(p, q, rho))) <= 1e-6
-            assert bool(treeopt.region(p, q, rho))
+            assert bool(_region(p, q, rho))
 
     def test_negative_rho_edge_r_values(self):
         # at p -> 0 the optimal r equals 1 - rho^2 exactly
