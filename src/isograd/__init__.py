@@ -8,6 +8,10 @@ on unconstrained interiors and disagree — finitely or divergently — on
 lower-dimensional families; every module here exercises that contrast on
 a concrete model.
 
+``import isograd`` loads the standard library only: each module below is
+imported the first time it is named, as ``isograd.<module>`` or ``from
+isograd import <module>``, and every name lives in its module.
+
 Modules
 -------
 core
@@ -31,78 +35,23 @@ treeopt
     maxima.
 game
     A two-stage game solved by backward induction vs coupling selection.
+errors, reports
+    The exception hierarchy and the optimum report the optimizers return.
 cli
-    Command-line interface over all of the above (imported on first use).
+    Command-line interface over all of the above.
 """
 
 import importlib
 
-from . import core, dice, game, gaussian, jointbinary, strategy, treeopt
-from .core import (
-    ConstraintSet,
-    Constrained,
-    GradientResult,
-    Limit,
-    ProbVector,
-    entropy,
-    finite_difference,
-    gradient,
-    simplex_volume,
-)
-from .errors import (
-    BadParams,
-    ConvergenceFailure,
-    DegenerateMarginal,
-    DomainError,
-    EmptyData,
-    InfeasiblePoint,
-    IsogradError,
-    NonFinite,
-    OutOfRange,
-    PreconditionError,
-    UnsupportedRho,
-)
-from .reports import OptimumReport
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParams",
-    "Constrained",
-    "ConstraintSet",
-    "ConvergenceFailure",
-    "DegenerateMarginal",
-    "DomainError",
-    "EmptyData",
-    "GradientResult",
-    "InfeasiblePoint",
-    "IsogradError",
-    "Limit",
-    "NonFinite",
-    "OptimumReport",
-    "OutOfRange",
-    "PreconditionError",
-    "ProbVector",
-    "UnsupportedRho",
-    "cli",
-    "core",
-    "dice",
-    "entropy",
-    "finite_difference",
-    "game",
-    "gaussian",
-    "gradient",
-    "jointbinary",
-    "simplex_volume",
-    "strategy",
-    "treeopt",
-    "__version__",
-]
+__all__ = ["cli", "core", "dice", "errors", "game", "gaussian",
+           "jointbinary", "reports", "strategy", "treeopt", "__version__"]
 
 
 def __getattr__(name: str):
-    # importing cli eagerly would make ``python -m isograd.cli`` find it in
-    # sys.modules before running it as __main__, and run it twice
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    # PEP 562: runs for a name not bound yet; importing a submodule binds it.
+    # Nothing loads eagerly, so ``python -m isograd.cli`` runs cli only once.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -133,6 +133,8 @@ def _setting(convert: Callable[[str], Any], rule: str,
 
 
 _AT_LEAST_ONE = _setting(int, "at least 1", lambda v: v >= 1)
+# 17 significant digits round-trip every float64, as its repr does
+_PRECISION = _setting(int, "between 1 and 17", lambda v: 1 <= v <= 17)
 _NON_NEGATIVE = _setting(int, "non-negative", lambda v: v >= 0)
 _TOLERANCE = _setting(float, "positive and finite", lambda v: 0 < v < math.inf)
 
@@ -467,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=tuple(_RENDERERS), default="text",
                         help="output format (default: text)")
-    common.add_argument("--precision", type=_AT_LEAST_ONE, default=6,
-                        help="significant digits for printed floats "
+    common.add_argument("--precision", type=_PRECISION, default=6,
+                        help="significant digits for printed floats, 1 to 17 "
                              "(default: 6)")
 
     parser = argparse.ArgumentParser(

@@ -54,12 +54,14 @@ class DieSpace:
 
 
 def _die_space(label: str, sides: int) -> DieSpace:
-    # embedding constraints pin the padded coordinates of (a, b, c | d) to zero
+    # embedding constraints pin the padded coordinates of (a, b, c | d) to
+    # zero, each with its gradient over the free coordinates (a, b, c)
     eqs = []
-    if sides <= 2:
-        eqs.append((lambda x: float(x[2]), 0.0))                      # c = 0
-    if sides <= 3:
-        eqs.append((lambda x: float(1.0 - x[0] - x[1] - x[2]), 0.0))  # d = 0
+    if sides <= 2:   # c = 0
+        eqs.append((lambda x: float(x[2]), 0.0, lambda x: (0.0, 0.0, 1.0)))
+    if sides <= 3:   # d = 0
+        eqs.append((lambda x: float(1.0 - x[0] - x[1] - x[2]), 0.0,
+                    lambda x: (-1.0, -1.0, -1.0)))
     return DieSpace(label, sides, ConstraintSet(tuple(eqs), f"{label} face"))
 
 

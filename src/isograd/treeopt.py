@@ -2,15 +2,15 @@
 
 A first coin lands heads with probability ``p``; a second coin lands heads
 with probability ``q`` after tails and ``r`` after heads.  Fixing the
-correlation ``rho`` between the two outcomes carves a surface ``r =
-surface(p, q, rho)`` out of the (p, q, r) cube, and each such slice supports
-its own constrained optimum of a payoff that is polylinear in the three
-probabilities.  This module provides the surface geometry (the upper root of
-the correlation equation, continued to p in {0, 1} by :func:`surface`, and
-the permissible (p, q) pairs of one slice, which :func:`surface_points` and
-:func:`slice_payoff` mask by), a discrepancy-style payoff whose value depends
-on which gradient semantics the optimizer is allowed to use, and
-deterministic maximizers for both.
+correlation ``rho`` between the two outcomes carves a surface r(p, q) out
+of the (p, q, r) cube, and each such slice supports its own constrained
+optimum of a payoff that is polylinear in the three probabilities.  This
+module provides the surface geometry (the upper root of the correlation
+equation, read by :func:`_surface_clamped` at p clipped just inside (0, 1),
+where the root is singular, and the permissible (p, q) pairs of one slice,
+which :func:`surface_points` and :func:`slice_payoff` mask by), a
+discrepancy-style payoff whose value depends on which gradient semantics
+the optimizer is allowed to use, and deterministic maximizers for both.
 
 The slice maximizer meshes the (p, q) square, refines on the bounding curve
 (rho > 0) or at the corner grid node (rho <= 0), and cross-checks the two;
@@ -40,7 +40,7 @@ from .reports import OptimumReport
 
 #: Tolerance of the region predicates.
 RANGE_TOL = 1e-9
-#: One-sided offset used to evaluate the surface by continuity at p in {0,1}.
+#: How far inside (0, 1) p is clipped before the surface root is read.
 _P_EDGE = 1e-9
 #: Default per-axis resolution of the slice-optimizer grid.
 DEFAULT_GRID = 401
@@ -86,9 +86,17 @@ def _branch_raw(p, q, rho: float):
 
 
 def _surface_clamped(p, q, rho: float):
-    """The upper root with p clipped into [_P_EDGE, 1 - _P_EDGE] (one-sided
-    limits) and q into [0, 1], so the RANGE_TOL band of :func:`_mask` reads
-    a finite surface."""
+    """The slice surface r at (p, q): the upper root with p clipped into
+    [_P_EDGE, 1 - _P_EDGE] and q into [0, 1], so that every node of the
+    unit square and of the RANGE_TOL band of :func:`_mask` reads a finite r.
+
+    For every interior ``p`` and permissible ``q`` the point ``(p, q, r)``
+    has outcome correlation exactly ``rho``.  At ``rho = 0`` it collapses to
+    ``r = q`` (independent stages); the lower root is the surface at
+    ``-rho``.  p = _P_EDGE is a probe point, not a limit: for 0 < q < 1 and
+    rho != 0 the root grows like |rho| sqrt(q(1 - q)/p) as p -> 0, so it
+    leaves [0, 1] there and :func:`_mask` removes those nodes.
+    """
     p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0 - _P_EDGE)
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
     return _branch_raw(p, q, rho)
@@ -108,17 +116,6 @@ def _bound_clamped(p, rho: float):
     if rho > 0.0:
         return p / (p + rho2 / (1.0 - rho2))
     return 1.0 / (1.0 + p * (1.0 - rho2) / rho2)
-
-
-def surface(p, q, rho: float):
-    """The slice surface r at (p, q), by continuity at p in {0, 1}.
-
-    It is the upper root of the correlation equation: for every interior
-    ``p`` and permissible ``q`` the point ``(p, q, r)`` has outcome
-    correlation exactly ``rho``.  At ``rho = 0`` it collapses to ``r = q``
-    (independent stages); the lower root is the surface at ``-rho``.
-    """
-    return _surface_clamped(p, q, _validate_rho(rho))
 
 
 def _mask(p: np.ndarray, q: np.ndarray, r, rho: float) -> np.ndarray:

@@ -224,7 +224,7 @@ def test_criterion_8_sweep():
     grid = np.linspace(0.02, 0.98, 50)
     for p in grid:
         for q in grid:
-            assert abs(treeopt.surface(p, q, 0.0) - q) <= 1e-12
+            assert abs(treeopt._surface_clamped(p, q, 0.0) - q) <= 1e-12
 
     rng = np.random.default_rng(42)
     for rho in (0.6, 0.3, -0.3, -0.6):
@@ -234,7 +234,7 @@ def test_criterion_8_sweep():
             bound = treeopt._bound_clamped(p, rho)
             u = float(rng.uniform(0.01, 0.99))
             q = u * bound if bound_side else bound + u * (1.0 - bound)
-            r = treeopt.surface(p, q, rho)
+            r = treeopt._surface_clamped(p, q, rho)
             recovered = jointbinary.correlation_of_joint(
                 strategy.behavioural_joint_cells((p, q, r)))
             assert recovered == pytest.approx(rho, abs=1e-8)

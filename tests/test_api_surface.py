@@ -1,17 +1,21 @@
 """The library is what the CLI and the benchmark run.
 
 A reachability scan over the package's syntax trees: the roots are
-``cli.main``, ``cli.entry`` and every top-level name whose name appears in
-``perfbench/*.py`` (as an identifier, an attribute or a string, since the
-tracer wraps names given as strings).  An edge runs from a top-level name to
-every module-level name its code refers to, in its own module or through an
-import.  A name bound locally (a parameter, an assignment, a comprehension
-variable) hides the module-level name it shadows.  Import statements alone
-are no reference, so re-exporting a name from ``isograd/__init__`` does not
-reach it.  Dunder names are protocol, not API, and are not checked.
+``cli.main``, ``cli.entry``, every name that module-level code or a
+module-level dunder function (``__getattr__``, which the import system
+calls) refers to, and every top-level name whose name appears in
+``perfbench/*.py`` as an identifier or an attribute, or as a string in
+``perfbench/tracer.py``, which wraps names given as strings.  An edge runs
+from a top-level name to every module-level name its code refers to, in
+its own module or through an import.  A name bound locally (a parameter,
+an assignment, a comprehension variable) hides the module-level name it
+shadows.  Import statements alone are no reference.  Dunder names are
+protocol, not API, and are not checked.
 
 Any other top-level name is reached by tests only: an oracle belongs under
-``tests/``, and the rest goes.
+``tests/``, and the rest goes.  The package namespace is its modules:
+``isograd/__init__`` imports nothing from them, so every name is read as
+``isograd.<module>.<name>``.
 """
 
 import ast
@@ -21,6 +25,8 @@ import isograd
 
 PACKAGE = Path(isograd.__file__).resolve().parent
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
+#: The one benchmark file whose strings name package attributes.
+TRACER = BENCHMARK / "tracer.py"
 
 #: (module, name) -> why a name no root reaches stays in the package.
 ALLOWED: dict[tuple[str, str], str] = {}
@@ -168,10 +174,17 @@ def _top_level_names(stmt) -> list[str]:
             if isinstance(n, ast.Name)]
 
 
-def _graph():
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _graph(trees: dict[str, ast.Module]):
     """(every checked top-level name, edges from each, the roots)."""
-    trees = {p.stem: ast.parse(p.read_text(), str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
     defined, edges, roots = set(), {}, set()
     for module, tree in trees.items():
         top, imports = set(), {}
@@ -186,12 +199,14 @@ def _graph():
             refs = _References(module, top, imports)
             refs.visit(stmt)
             names = _top_level_names(stmt)
-            if not names:   # module-level code runs on import
+            # module-level code runs on import, and the import system calls
+            # a module's dunder functions
+            if not names or (isinstance(stmt, ast.FunctionDef)
+                             and _dunder(stmt.name)):
                 roots |= refs.found
             for name in names:
                 edges.setdefault((module, name), set()).update(refs.found)
-        defined |= {(module, name) for name in top
-                    if not (name.startswith("__") and name.endswith("__"))}
+        defined |= {(module, name) for name in top if not _dunder(name)}
     return defined, edges, roots
 
 
@@ -205,14 +220,14 @@ def _benchmark_names() -> set[str]:
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.asname or node.name)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and node.value.isidentifier()):
+            elif (path == TRACER and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and node.value.isidentifier()):
                 names.add(node.value)
     return names
 
 
 def _unreached() -> set[tuple[str, str]]:
-    defined, edges, roots = _graph()
+    defined, edges, roots = _graph(_package_trees())
     bench = _benchmark_names()
     todo = [("cli", "main"), ("cli", "entry"), *roots,
             *[key for key in defined if key[1] in bench]]
@@ -242,3 +257,23 @@ def test_a_local_variable_does_not_reach_the_name_it_shadows():
     assert refs.found == set()
     refs.visit(ast.parse("def g():\n    return moments()\n").body[0])
     assert refs.found == {("m", "moments")}
+
+
+def test_a_dunder_function_reaches_what_it_refers_to():
+    tree = ast.parse("_MODULES = ('core',)\n"
+                     "def __getattr__(name):\n    return _MODULES\n"
+                     "def _unused():\n    pass\n")
+    defined, _, roots = _graph({"m": tree})
+    assert defined == {("m", "_MODULES"), ("m", "_unused")}
+    assert roots == {("m", "_MODULES")}
+
+
+def test_the_package_namespace_imports_nothing_from_its_modules():
+    # a re-export would give a name a second path besides
+    # isograd.<module>.<name>, and load its module with the package
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    inside = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and any(target is not None
+                      for _, target in _import_targets(node))]
+    assert inside == []

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line frontend."""
 
+import ast
 import json
 import math
 import os
@@ -47,6 +48,13 @@ class TestSettings:
     ] + [
         pytest.param(["dice", "--precision", "0"], "--precision",
                      id="precision-0"),
+    ] + [
+        # 17 digits round-trip a float64; far larger values used to reach the
+        # renderer, which raised "precision too big" with a traceback
+        pytest.param(["game", "--precision", value], "--precision",
+                     id=f"precision-{value}")
+        for value in ("18", "2147483648", "100000000000")
+    ] + [
         pytest.param(["table1", "--case", "corr", "--samples", "0"],
                      "--samples", id="samples-0"),
         pytest.param(["table1", "--case", "corr", "--seed", "-1"], "--seed",
@@ -182,6 +190,9 @@ class TestTextFormat:
         code, full, err = run_cli(capsys, "dice", "--precision", "12")
         assert "0.693" in brief and "0.693147" not in brief
         assert "0.69314718056" in full
+        # the widest precision accepted: 17 digits round-trip log 2
+        code, widest, err = run_cli(capsys, "dice", "--precision", "17")
+        assert code == 0 and "0.69314718055994529 " in widest
 
     def test_columns_align(self, capsys):
         code, out, err = run_cli(capsys, "gaussian-check")
@@ -519,12 +530,36 @@ class TestEntryPoints:
             isograd.no_such_module
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestReadme:
     def test_sweep_example_is_verbatim(self, capsys):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
         prompt = "$ isograd tree-opt --sweep --format csv\n"
-        block = readme.read_text().split(prompt, 1)[1].split("```", 1)[0]
+        block = README.read_text().split(prompt, 1)[1].split("```", 1)[0]
         code, out, err = run_cli(capsys, "tree-opt", "--sweep",
                                  "--format", "csv")
         assert code == 0
         assert out == block
+
+    def test_library_example_gives_its_commented_results(self):
+        # runs the block statement by statement; an expression statement's
+        # value is checked against the literal commented at its end
+        text = README.read_text().split("## Library\n", 1)[1]
+        code = text.split("```python\n", 1)[1].split("```", 1)[0]
+        lines, namespace, results = code.splitlines(), {}, []
+        for stmt in ast.parse(code).body:
+            if isinstance(stmt, ast.Expr):
+                value = eval(compile(ast.Expression(stmt.value), "README",
+                                     "eval"), namespace)
+                comment = lines[stmt.end_lineno - 1].partition("#")[2]
+                results.append((value, ast.literal_eval(comment.strip())))
+            else:
+                exec(compile(ast.Module([stmt], type_ignores=[]), "README",
+                             "exec"), namespace)
+        (flat, flat_doc), (kind, kind_doc), (slopes, slopes_doc) = results
+        assert flat == flat_doc == (0.0,)
+        assert kind == kind_doc == "diverging"
+        # the engine prints 0.3999999999906856 and 0.29999999998781
+        assert slopes_doc == (0.4, 0.3)
+        assert slopes == pytest.approx(slopes_doc, rel=0, abs=1e-9)

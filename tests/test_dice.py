@@ -8,7 +8,6 @@ import pytest
 
 from isograd.core import (
     Constrained,
-    entropy_of_cells,
     entropy_of_free,
     finite_difference,
     gradient,
@@ -99,11 +98,7 @@ class TestDirectedGradient:
     DIR = (1.0 / math.sqrt(2), -1.0 / math.sqrt(2), 0.0)
 
     def _payoff(self, free):
-        # the Coin face's tangent comes from differenced constraint rows, off
-        # DIR by ~2e-11, so a probe can leave the face by a rounding error:
-        # read the resolved cell there as 0
-        rest = max(0.0, 1.0 - math.fsum(free))
-        return SQUARE.volume ** 2 * entropy_of_cells((*free, rest))
+        return SQUARE.volume ** 2 * entropy_of_free(free)
 
     def _slope(self, a):
         res = gradient(self._payoff, resolve((a, 1 - a, 0.0, 0.0)),
@@ -128,10 +123,29 @@ class TestDirectedGradient:
         # engine's single component is the directed slope
         res = gradient(self._payoff, resolve((0.3, 0.7, 0.0, 0.0)),
                        Constrained(COIN.embedding))
-        np.testing.assert_allclose(res.basis, (self.DIR,), atol=1e-9)
+        np.testing.assert_allclose(res.basis, (self.DIR,), rtol=0, atol=1e-15)
         want = SQUARE.volume ** 2 * math.log(0.7 / 0.3) / math.sqrt(2)
         np.testing.assert_allclose(res.components[0], want, rtol=1e-6,
                                    atol=1e-9)
+
+
+class TestFaceConstraints:
+    """The faces state their constraint gradients: c = 0 states e_2 and
+    d = 1 - a - b - c = 0 states -(1, 1, 1)."""
+
+    def test_basis_takes_no_function_evaluations(self, eval_calls):
+        for space in ALL_SPACES:
+            space.embedding.basis(space.live_uniform().free_array())
+        assert eval_calls[0] == 0
+
+    def test_coin_face_probes_stay_on_the_face(self):
+        # with a differenced tangent a probe left the face by a rounding
+        # error and the resolved cell d read -1.1e-16: a NaN entropy
+        res = gradient(lambda x: SQUARE.volume ** 2 * entropy_of_free(x),
+                       resolve((0.2, 0.8, 0, 0)), Constrained(COIN.embedding))
+        assert res.kind == "finite"
+        want = math.log(0.8 / 0.2) / (36 * math.sqrt(2))
+        assert res.components[0] == pytest.approx(want, rel=0, abs=1e-10)
 
 
 def _brute_force_grid(sides, n):

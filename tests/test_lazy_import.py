@@ -1,11 +1,14 @@
-"""SciPy is imported on the first polish, not with the package.
+"""The package loads nothing until a module is named, and SciPy loads on
+the first polish.
 
-``import isograd`` and every command that does not optimize load numpy and
-the standard library only.  The polishes call SciPy through the module
-globals ``dice.minimize``, ``treeopt.minimize`` and
-``treeopt.minimize_scalar``; the benchmark's tracer wraps those names, so
-these tests pin that each is still a module attribute reached on every
-polish and still returns SciPy's result with its ``nfev``.
+``import isograd`` loads the standard library only: its namespace is its
+modules, each imported the first time it is named (``isograd.<module>`` or
+``from isograd import <module>``), and it holds no other name.  Every
+command that does not optimize loads numpy and the standard library only.
+The polishes call SciPy through the module globals ``dice.minimize``,
+``treeopt.minimize`` and ``treeopt.minimize_scalar``; the benchmark's tracer
+wraps those names, so these tests pin that each is still a module attribute
+reached on every polish and still returns SciPy's result with its ``nfev``.
 """
 
 import json
@@ -49,16 +52,52 @@ NUMPY_ONLY = (
 )
 
 
-def _fresh(argv):
+# runs in a fresh interpreter: what a bare import loads, and how the
+# namespace resolves afterwards
+_NAMESPACE_PROBE = """
+import importlib, json, pkgutil, sys
+import isograd
+loaded = sorted(m for m in sys.modules
+                if m.startswith("isograd.") or m.partition(".")[0] == "numpy")
+from isograd import core
+modules = sorted(m.name for m in pkgutil.iter_modules(isograd.__path__))
+resolves = [m for m in modules
+            if getattr(isograd, m) is importlib.import_module("isograd." + m)]
+try:
+    isograd.gradient
+    gradient = "bound"
+except AttributeError as exc:
+    gradient = str(exc)
+print(json.dumps({"loaded": loaded, "modules": modules, "resolves": resolves,
+                  "all": isograd.__all__, "core": core is isograd.core,
+                  "gradient": gradient}))
+"""
+
+
+def _fresh(argv, probe=_PROBE):
     src = str(Path(isograd.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+class TestLazyPackage:
+    def test_namespace_is_the_modules(self):
+        probe = _fresh(None, _NAMESPACE_PROBE)
+        # a bare import loads no submodule and no numpy
+        assert probe["loaded"] == []
+        assert {"errors", "reports", "cli", "core"} <= set(probe["modules"])
+        assert probe["resolves"] == probe["modules"]
+        assert sorted(probe["all"]) == sorted(probe["modules"]
+                                              + ["__version__"])
+        assert probe["core"] is True
+        assert probe["gradient"] == ("module 'isograd' has no attribute "
+                                     "'gradient'")
 
 
 class TestLazyScipy:

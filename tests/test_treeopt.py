@@ -44,7 +44,7 @@ def _region(p, q, rho: float):
     """Mask of the permissible (p, q) pairs of one slice, as
     :func:`treeopt.surface_points` and :func:`treeopt.slice_payoff` read it."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    return treeopt._mask(p, q, treeopt.surface(p, q, rho), rho)
+    return treeopt._mask(p, q, treeopt._surface_clamped(p, q, rho), rho)
 
 
 def _agreement(z) -> float:
@@ -60,14 +60,14 @@ class TestRootBranches:
         q = np.linspace(0.0, 1.0, 50)
         for pi in p:
             for qi in q:
-                assert abs(treeopt.surface(pi, qi, 0.0) - qi) < 1e-12
+                assert abs(treeopt._surface_clamped(pi, qi, 0.0) - qi) < 1e-12
 
     def test_known_exact_value(self):
         # the discriminant is a perfect square here: r = 3/4 exactly
-        assert treeopt.surface(0.5, 0.25, 0.5) == pytest.approx(0.75, abs=1e-12)
+        assert treeopt._surface_clamped(0.5, 0.25, 0.5) == pytest.approx(0.75, abs=1e-12)
 
     def test_root_recovers_target_correlation(self):
-        r = treeopt.surface(0.5, 0.25, 0.5)
+        r = treeopt._surface_clamped(0.5, 0.25, 0.5)
         assert abs(_correlation(0.5, 0.25, r) - 0.5) < 1e-8
 
     def test_correlation_recovery_across_band(self):
@@ -79,7 +79,7 @@ class TestRootBranches:
             for pi, ui in zip(p, u):
                 b = treeopt._bound_clamped(pi, rho)
                 qi = ui * b if rho > 0 else b + ui * (1.0 - b)
-                r = treeopt.surface(pi, qi, rho)
+                r = treeopt._surface_clamped(pi, qi, rho)
                 worst = max(worst, abs(_correlation(pi, qi, r) - rho))
             assert worst < 1e-8, f"rho={rho}: worst recovery error {worst}"
 
@@ -91,7 +91,7 @@ class TestRootBranches:
             p = rng.uniform(0.05, 0.95)
             rho = rng.uniform(0.05, 0.95)
             q = rng.uniform(0.01, 0.99) * treeopt._bound_clamped(p, rho)
-            lo = treeopt.surface(p, q, -rho)
+            lo = treeopt._surface_clamped(p, q, -rho)
             if 0.0 < lo < 1.0:
                 assert abs(_correlation(p, q, lo) + rho) < 1e-8
                 checked += 1
@@ -103,28 +103,42 @@ class TestRootBranches:
         # is why the region predicate must not rely on the range check alone
         for p in np.linspace(0.05, 0.95, 7):
             for rho in (0.25, 0.5, 0.75):
-                assert treeopt.surface(p, 1.0, rho) == pytest.approx(
+                assert treeopt._surface_clamped(p, 1.0, rho) == pytest.approx(
                     1.0, abs=1e-12)
 
     def test_extreme_rho_is_finite(self):
-        assert treeopt.surface(0.5, 0.25, 1.0) >= 1.0
-        assert treeopt.surface(0.5, 0.25, -1.0) <= 0.0
+        assert treeopt._surface_clamped(0.5, 0.25, 1.0) >= 1.0
+        assert treeopt._surface_clamped(0.5, 0.25, -1.0) <= 0.0
 
     def test_singular_p(self):
-        # the root is singular at p in {0, 1}: the surface reads it at p
-        # clipped _P_EDGE inside, where it is finite
+        # the root is singular at p in {0, 1}: it is read at p clipped
+        # _P_EDGE inside, where it is finite
         for p, inside in ((0.0, treeopt._P_EDGE), (1.0, 1.0 - treeopt._P_EDGE)):
-            r = treeopt.surface(p, 0.5, 0.5)
+            r = treeopt._surface_clamped(p, 0.5, 0.5)
             assert np.isfinite(r)
-            assert r == treeopt.surface(inside, 0.5, 0.5)
+            assert r == treeopt._surface_clamped(inside, 0.5, 0.5)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_edge_probe_is_no_limit_and_is_masked(self, rho):
+        # for 0 < q < 1 the root grows like |rho| sqrt(q(1 - q)/p) as p -> 0,
+        # so p = _P_EDGE reads a probe value far outside [0, 1], not a limit;
+        # the mask removes it and the payoff reads 0 there
+        for p in (1e-3, 1e-6, 0.0):
+            want = rho * math.sqrt(0.25 / max(p, treeopt._P_EDGE))
+            r = treeopt._surface_clamped(p, 0.5, rho)
+            assert r == pytest.approx(want, rel=0.1)
+        assert not _region(0.0, 0.5, rho)
+        assert treeopt.slice_payoff(0.0, 0.5, rho) == 0.0
 
     def test_out_of_range_arguments(self):
         # p and q outside [0, 1] are clipped into it; rho outside [-1, 1] is
-        # refused
-        assert treeopt.surface(-0.1, 0.5, 0.5) == treeopt.surface(0.0, 0.5, 0.5)
-        assert treeopt.surface(0.5, 1.1, 0.5) == treeopt.surface(0.5, 1.0, 0.5)
+        # refused by every surface reader
+        assert treeopt._surface_clamped(-0.1, 0.5, 0.5) == treeopt._surface_clamped(0.0, 0.5, 0.5)
+        assert treeopt._surface_clamped(0.5, 1.1, 0.5) == treeopt._surface_clamped(0.5, 1.0, 0.5)
         with pytest.raises(OutOfRange):
-            treeopt.surface(0.5, 0.5, 1.0001)
+            treeopt.slice_payoff(0.5, 0.5, 1.0001)
+        with pytest.raises(OutOfRange):
+            treeopt.surface_points(1.0001)
 
 
 class TestPermissibleBound:
@@ -153,7 +167,7 @@ class TestPermissibleBound:
             q = rng.uniform(0.0, 1.0, size=400)
             for pi, qi in zip(p, q):
                 b = treeopt._bound_clamped(pi, rho)
-                r = treeopt.surface(pi, qi, rho)
+                r = treeopt._surface_clamped(pi, qi, rho)
                 inside = qi <= b - 1e-6 if rho > 0 else qi >= b + 1e-6
                 outside = qi >= b + 1e-6 if rho > 0 else qi <= b - 1e-6
                 if inside:
@@ -177,7 +191,7 @@ class TestCorrelationSlice:
     def test_zero_rho_surface_is_q(self):
         P, Q = np.meshgrid(np.linspace(0.0, 1.0, 30),
                            np.linspace(0.0, 1.0, 30), indexing="ij")
-        np.testing.assert_allclose(treeopt.surface(P, Q, 0.0), Q,
+        np.testing.assert_allclose(treeopt._surface_clamped(P, Q, 0.0), Q,
                                    rtol=0, atol=1e-12)
 
     def test_surface_in_unit_interval_on_region(self):
@@ -186,7 +200,7 @@ class TestCorrelationSlice:
         for rho in (0.6, 0.25, -0.25, -0.6):
             mask = _region(P, Q, rho)
             assert mask.any()
-            r = treeopt.surface(P, Q, rho)[mask]
+            r = treeopt._surface_clamped(P, Q, rho)[mask]
             assert r.min() >= -1e-9 and r.max() <= 1.0 + 1e-9
 
     def test_region_excludes_degenerate_top_edge(self):
@@ -206,7 +220,7 @@ class TestCorrelationSlice:
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
-            treeopt.surface(0.3, 0.5, 1.5)
+            treeopt.slice_payoff(0.3, 0.5, 1.5)
         with pytest.raises(OutOfRange):
             treeopt.surface_points(-1.5)
 
@@ -389,7 +403,7 @@ class TestMaximizePayoffOnSlice:
         for rho in (0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75):
             rep = treeopt.maximize_payoff_on_slice(rho)
             p, q, r = rep.point
-            assert abs(r - float(treeopt.surface(p, q, rho))) <= 1e-6
+            assert abs(r - float(treeopt._surface_clamped(p, q, rho))) <= 1e-6
             assert bool(_region(p, q, rho))
 
     def test_negative_rho_edge_r_values(self):
