@@ -17,8 +17,6 @@ import sys
 from dataclasses import asdict, astuple, dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from . import dice, game, gaussian, jointbinary, strategy, treeopt
 from .core import MODES, gradient, mode_named, simplex_volume
 from .errors import BadParams, ConvergenceFailure, IsogradError, NonFinite
@@ -43,20 +41,17 @@ class Report:
 
 
 def _format_cell(value: Any, precision: int) -> str:
+    """Every value the CLI prints as text goes through here; floats keep
+    ``precision`` significant digits and sequences are joined by ``;``."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
         return f"{value:.{precision}g}"
-    if isinstance(value, (tuple, list, np.ndarray)):
+    if isinstance(value, (tuple, list)):
         return ";".join(_format_cell(v, precision) for v in value)
     return str(value)
 
@@ -91,15 +86,9 @@ def _round_floats(value: Any, precision: int) -> Any:
         return {str(k): _round_floats(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_floats(v, precision) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-        return float(f"{value:.{precision}g}")
+    if isinstance(value, float):
+        text = _format_cell(value, precision)
+        return float(text) if math.isfinite(value) else text
     return value
 
 
@@ -156,7 +145,7 @@ def _parse_list(text: str, count: int, name: str,
 
 
 def _point_label(probs, precision: int) -> str:
-    return "(" + ", ".join(f"{v:.{precision}g}" for v in probs) + ")"
+    return "(" + ", ".join(_format_cell(v, precision) for v in probs) + ")"
 
 
 def _gradient_row(quantity: str, mode: str, result) -> tuple[Any, ...]:
@@ -204,7 +193,7 @@ def _cmd_dice(ns: argparse.Namespace) -> Report:
                  "unconstrained": asdict(unconstrained),
                  "unconstrained_conflicts_with_per_space": conflicts},
         footer=(f"unconstrained optimum conflicts with the per-space "
-                f"winners: {'true' if conflicts else 'false'}",),
+                f"winners: {_format_cell(conflicts, ns.precision)}",),
     )
 
 
@@ -221,21 +210,18 @@ def _cmd_gaussian_check(ns: argparse.Namespace) -> Report:
         columns=("relation", "mode", "statistic", "expected", "passed"),
         rows=tuple(astuple(check) for check in checks),
         payload=payload,
-        footer=(f"all passed: {'true' if payload['all_passed'] else 'false'}",),
+        footer=(f"all passed: "
+                f"{_format_cell(payload['all_passed'], ns.precision)}",),
     )
 
 
-def _require_point(ns: argparse.Namespace) -> jointbinary.JointPoint:
-    if ns.point is None:
-        raise BadParams(f"--point is required for --op {ns.op}")
-    a, b, c, d = _parse_list(ns.point, 4, "--point")
-    return jointbinary.JointPoint(a, b, c, d)
-
-
-def _require_counts(ns: argparse.Namespace) -> jointbinary.CountData:
-    if ns.counts is None:
-        raise BadParams(f"--counts is required for --op {ns.op}")
-    return jointbinary.CountData(*_parse_list(ns.counts, 4, "--counts", int))
+def _required(ns: argparse.Namespace, flag: str,
+              convert: Callable[[str], Any] = float) -> tuple:
+    """The four values of ``--point`` or ``--counts``, which ``--op`` needs."""
+    text = getattr(ns, flag)
+    if text is None:
+        raise BadParams(f"--{flag} is required for --op {ns.op}")
+    return _parse_list(text, 4, f"--{flag}", convert)
 
 
 _GRADIENT_COLUMNS = ("quantity", "mode", "kind", "value", "magnitude",
@@ -245,11 +231,11 @@ _GRADIENT_COLUMNS = ("quantity", "mode", "kind", "value", "magnitude",
 def _cmd_joint(ns: argparse.Namespace) -> Report:
     payload: dict[str, Any] = {"op": ns.op, "mode": ns.mode}
     if ns.op != "mle":
-        point = _require_point(ns)
+        point = jointbinary.JointPoint(*_required(ns, "point"))
         payload["point"] = list(point.probs)
         at = f"at {_point_label(point.probs, ns.precision)}"
     if ns.op in ("loglik-gradient", "mle"):
-        counts = _require_counts(ns)
+        counts = jointbinary.CountData(*_required(ns, "counts", int))
         payload["counts"] = list(counts.counts)
     if ns.op == "fisher":
         matrix = jointbinary.fisher_information(point, mode=ns.mode)
@@ -305,7 +291,7 @@ def _cmd_table1(ns: argparse.Namespace) -> Report:
         rows=rows,
         payload=report.to_dict(),
         footer=(f"all entries passed: "
-                f"{'true' if report.passed else 'false'}",),
+                f"{_format_cell(report.passed, ns.precision)}",),
     )
 
 
@@ -357,25 +343,19 @@ def _cmd_game(ns: argparse.Namespace) -> Report:
     )
     baseline = game.backward_induction(spec)
     table, chosen = game.global_comparison(spec)
-    rows = [(baseline.label, baseline.kind, baseline.strategy[0],
-             baseline.strategy[1], baseline.payoffs[0], baseline.payoffs[1],
-             False)]
-    rows.extend((o.label, o.kind, o.strategy[0], o.strategy[1],
-                 o.payoffs[0], o.payoffs[1], o is chosen) for o in table)
     return Report(
         title="two-stage game: backward induction vs coupling selection",
         columns=("regime", "kind", "x_or_p", "y_or_q", "payoff_x", "payoff_y",
                  "chosen"),
-        rows=tuple(rows),
+        rows=tuple((o.label, o.kind, *o.strategy, *o.payoffs, o is chosen)
+                   for o in (baseline, *table)),
         payload={"baseline": asdict(baseline),
                  "slices": [asdict(o) for o in table],
                  "chosen": asdict(chosen)},
         footer=(f"second mover picks {chosen.label}: payoffs "
-                f"({_format_cell(chosen.payoffs[0], ns.precision)}, "
-                f"{_format_cell(chosen.payoffs[1], ns.precision)}) vs "
+                f"{_point_label(chosen.payoffs, ns.precision)} vs "
                 f"backward-induction "
-                f"({_format_cell(baseline.payoffs[0], ns.precision)}, "
-                f"{_format_cell(baseline.payoffs[1], ns.precision)})",),
+                f"{_point_label(baseline.payoffs, ns.precision)}",),
     )
 
 
@@ -391,9 +371,8 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
     pin = jointbinary.JointPoint(0.5, 0.0, 0.0, 0.5)
     counts = jointbinary.CountData(5, 0, 0, 5)
     eps = 1e-5
-    free = pin.free_array() + eps * np.asarray(CORRELATED_DIRECTION)
-    approach = jointbinary.JointPoint(free[0], free[1], free[2],
-                                      1.0 - float(free.sum()))
+    free = [v + eps * d for v, d in zip(pin.probs, CORRELATED_DIRECTION)]
+    approach = jointbinary.JointPoint(*free, 1.0 - sum(free))
 
     dim_f_con = jointbinary.fisher_information(pin, "constrained").shape[0]
     dim_f_lim = jointbinary.fisher_information(approach,
@@ -553,12 +532,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report = _COMMANDS[ns.command](ns)
         output = render(report, ns.format, ns.precision)
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except IsogradError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConvergenceFailure) else 2
     sys.stdout.write(output)
     return 0
 

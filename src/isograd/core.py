@@ -29,7 +29,7 @@ The shared formulas live here once: ``xlogx`` for every entropy, the
 Euclidean norm of every gradient, the tangent basis of a constraint set,
 and the central-difference loop.  So do the
 two SciPy searches the optimizers polish with, which import SciPy on their
-first call: ``import isograd`` loads numpy and the standard library only.
+first call: ``import isograd.core`` loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ class Limit:
 
 GradientMode = Union[Constrained, Limit]
 
-#: The mode names every module and the CLI accept.
+#: The mode names :func:`mode_named` reads and ``--mode`` offers; each
+#: statistic accepts its own subset (Fisher information has no "limit").
 MODES = ("constrained", "unconstrained", "limit")
 
 

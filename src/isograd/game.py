@@ -24,6 +24,11 @@ from .errors import BadParams, UnsupportedRho
 _TIE_TOL = 0.0  # ties break toward action 0 on exactly zero advantage
 
 
+def _action(advantage: float) -> int:
+    """The better action, 1 or 0, given the advantage of playing 1."""
+    return 1 if advantage > _TIE_TOL else 0
+
+
 @dataclass(frozen=True)
 class PayoffForm:
     """Bilinear payoff c0 + cx*x + cy*y + cxy*x*y."""
@@ -45,9 +50,6 @@ class PayoffForm:
         """Evaluate at a pure action pair or (by bilinearity and
         independence) at mixed frequencies (p, q)."""
         return self.c0 + self.cx * x + self.cy * y + self.cxy * x * y
-
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.c0, self.cx, self.cy, self.cxy)
 
 
 @dataclass(frozen=True)
@@ -88,35 +90,21 @@ def _outcome(game: GameSpec, label: str, kind: str,
 def backward_induction(game: GameSpec = DEFAULT_GAME) -> GameOutcome:
     """Perfect-information solution: Y best-responds to each announced x,
     X picks the better branch; ties break toward action 0."""
-    def y_reply(x: int) -> int:
-        advantage = game.y_payoff(x, 1) - game.y_payoff(x, 0)
-        return 1 if advantage > _TIE_TOL else 0
-
-    replies = {x: y_reply(x) for x in (0, 1)}
-    advantage = (game.x_payoff(1, replies[1]) - game.x_payoff(0, replies[0]))
-    x = 1 if advantage > _TIE_TOL else 0
+    replies = {x: _action(game.y_payoff(x, 1) - game.y_payoff(x, 0))
+               for x in (0, 1)}
+    x = _action(game.x_payoff(1, replies[1]) - game.x_payoff(0, replies[0]))
     return _outcome(game, "unconstrained", "pure", x, replies[x])
-
-
-def _best_response_x(game: GameSpec, q: float) -> float:
-    """X's payoff is linear in p with slope cx + cxy*q."""
-    slope = game.x_payoff.cx + game.x_payoff.cxy * q
-    return 1.0 if slope > _TIE_TOL else 0.0
-
-
-def _best_response_y(game: GameSpec, p: float) -> float:
-    slope = game.y_payoff.cy + game.y_payoff.cxy * p
-    return 1.0 if slope > _TIE_TOL else 0.0
 
 
 def _solve_independent(game: GameSpec) -> GameOutcome:
     """Zero-correlation play: simultaneous stationarity when the interior
     indifference roots exist, else two rounds of boundary best responses.
 
-    Without both roots in [0, 1], one player's slope keeps its sign (or is
-    constant) over [0, 1], so that player's best response is the same at 0
-    and at 1.  Starting from (0, 0), X then Y, the second round is therefore
-    already a mutual best response.
+    X's payoff is linear in p with slope cx + cxy*q, and Y's in q with
+    slope cy + cxy*p.  Without both roots in [0, 1], one player's slope
+    keeps its sign (or is constant) over [0, 1], so that player's best
+    response is the same at 0 and at 1.  Starting from (0, 0), X then Y, the
+    second round is therefore already a mutual best response.
     """
     gx, gy = game.x_payoff, game.y_payoff
     q_root = -gx.cx / gx.cxy if gx.cxy != 0.0 else None
@@ -124,9 +112,15 @@ def _solve_independent(game: GameSpec) -> GameOutcome:
     if (q_root is not None and 0.0 <= q_root <= 1.0
             and p_root is not None and 0.0 <= p_root <= 1.0):
         return _outcome(game, "rho=0", "mixed", p_root, q_root)
-    p = _best_response_x(game, 0.0)
-    p = _best_response_x(game, _best_response_y(game, p))
-    return _outcome(game, "rho=0", "mixed", p, _best_response_y(game, p))
+
+    def x_reply(q: float) -> int:
+        return _action(gx.cx + gx.cxy * q)
+
+    def y_reply(p: float) -> int:
+        return _action(gy.cy + gy.cxy * p)
+
+    p = x_reply(y_reply(x_reply(0.0)))
+    return _outcome(game, "rho=0", "mixed", p, y_reply(p))
 
 
 def solve_slice(game: GameSpec, rho: float) -> GameOutcome:
@@ -138,13 +132,12 @@ def solve_slice(game: GameSpec, rho: float) -> GameOutcome:
     optimize expected payoffs in the mixed frequencies (p, q).
     """
     rho = float(rho)
+    gx = game.x_payoff
     if rho == 1.0:
-        slope = (game.x_payoff.cx + game.x_payoff.cy + game.x_payoff.cxy)
-        x = 1 if slope > _TIE_TOL else 0
+        x = _action(gx.cx + gx.cy + gx.cxy)
         return _outcome(game, "rho=+1", "pure", x, x)
     if rho == -1.0:
-        slope = game.x_payoff.cx - game.x_payoff.cy
-        x = 1 if slope > _TIE_TOL else 0
+        x = _action(gx.cx - gx.cy)
         return _outcome(game, "rho=-1", "pure", x, 1 - x)
     if rho == 0.0:
         return _solve_independent(game)

@@ -134,12 +134,6 @@ class Table1Report:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def entry(self, row: str, column: str) -> TableEntry:
-        for e in self.entries:
-            if e.row == row and e.column == column:
-                return e
-        raise KeyError((row, column))
-
     def to_dict(self) -> dict:
         return {
             "case": self.case,
@@ -185,15 +179,25 @@ def _k(a: float) -> float:
     return a * (1 - a)
 
 
+# closed-form columns that rows share: P(0,0)-Px(0)Py(0) and
+# P(1,1)-Px(1)Py(1) equal the covariance and the other two probability rows
+# its negation, and V(x)+V(y)-2cov has the gradient of the off-diagonal mass
+# P(0,1)+P(1,0) wherever P(0,1) = P(1,0)
+_OFF_DIAGONAL = _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
+                            lambda p: (0.0, 1 - p, -p), ZERO)
+_COV = _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
+                    lambda p, q: (0.0, -_k(p), _k(p)))
+_MINUS_COV = _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
+                          lambda p, q: (0.0, _k(p), -_k(p)))
+
+
 CORRELATED_ROWS = (
     RowSpec("P(0,0)+P(1,1)", "probability conservation",
             lambda j: j[0] + j[3],
             _correlated(lambda a: (0.0, a, -(1 - a), 2 * a - 1),
                         lambda p: (0.0, -(1 - p), p), ZERO)),
     RowSpec("P(0,1)+P(1,0)", "probability conservation",
-            lambda j: j[1] + j[2],
-            _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
-                        lambda p: (0.0, 1 - p, -p), ZERO)),
+            lambda j: j[1] + j[2], _OFF_DIAGONAL),
     RowSpec("P_x|y(0|0)", "conditionals", lambda j: conditional_x0_given_y(j, 0),
             _correlated(lambda a: (0.0, a / (1 - a), 0.0, a / (1 - a)),
                         lambda p: (0.0, 0.0, p / (1 - p)), ZERO)),
@@ -210,9 +214,7 @@ CORRELATED_ROWS = (
             _correlated(lambda a: (1.0, a, 0.0, a),
                         lambda p: (1.0, 0.0, p), UNIT)),
     RowSpec("V(x)+V(y)-2cov", "variance",
-            lambda j: var_x(j) + var_y(j) - 2.0 * _cov(j),
-            _correlated(lambda a: (0.0, -a, 1 - a, 1 - 2 * a),
-                        lambda p: (0.0, 1 - p, -p), ZERO)),
+            lambda j: var_x(j) + var_y(j) - 2.0 * _cov(j), _OFF_DIAGONAL),
     RowSpec("E_xy-E_x", "entropy", lambda j: entropy_xy(j) - entropy_x(j),
             NONZERO_IN_LIMIT),
     RowSpec("rho_xy", "correlation", correlation_of_joint, NONZERO_IN_LIMIT),
@@ -220,21 +222,13 @@ CORRELATED_ROWS = (
 
 INDEPENDENT_ROWS = (
     RowSpec("P(0,0)-Px(0)Py(0)", "probability",
-            lambda j: j[0] - (j[0] + j[1]) * (j[0] + j[2]),
-            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
-                         lambda p, q: (0.0, -_k(p), _k(p)))),
+            lambda j: j[0] - (j[0] + j[1]) * (j[0] + j[2]), _COV),
     RowSpec("P(0,1)-Px(0)Py(1)", "probability",
-            lambda j: j[1] - (j[0] + j[1]) * (j[1] + j[3]),
-            _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
-                         lambda p, q: (0.0, _k(p), -_k(p)))),
+            lambda j: j[1] - (j[0] + j[1]) * (j[1] + j[3]), _MINUS_COV),
     RowSpec("P(1,0)-Px(1)Py(0)", "probability",
-            lambda j: j[2] - (j[2] + j[3]) * (j[0] + j[2]),
-            _independent(lambda a, bb: (0.0, -_k(a), _k(a), 0.0),
-                         lambda p, q: (0.0, _k(p), -_k(p)))),
+            lambda j: j[2] - (j[2] + j[3]) * (j[0] + j[2]), _MINUS_COV),
     RowSpec("P(1,1)-Px(1)Py(1)", "probability",
-            lambda j: j[3] - (j[2] + j[3]) * (j[1] + j[3]),
-            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
-                         lambda p, q: (0.0, -_k(p), _k(p)))),
+            lambda j: j[3] - (j[2] + j[3]) * (j[1] + j[3]), _COV),
     RowSpec("P_x|y(0|0)-Px(0)", "conditionals",
             lambda j: conditional_x0_given_y(j, 0) - (j[0] + j[1]),
             _independent(
@@ -244,9 +238,7 @@ INDEPENDENT_ROWS = (
             lambda j: conditional_x0_given_y(j, 1) - (j[0] + j[1]),
             _independent(lambda a, bb: (0.0, -_k(a) / bb, _k(a) / bb, 0.0),
                          lambda p, q: (0.0, _k(p) / q, -_k(p) / q))),
-    RowSpec("<xy>-<x><y>", "expectation", _cov,
-            _independent(lambda a, bb: (0.0, _k(a), -_k(a), 0.0),
-                         lambda p, q: (0.0, -_k(p), _k(p)))),
+    RowSpec("<xy>-<x><y>", "expectation", _cov, _COV),
     RowSpec("E_xy-E_x-E_y", "entropy",
             lambda j: entropy_xy(j) - entropy_x(j) - entropy_y(j),
             NONZERO_IN_LIMIT),

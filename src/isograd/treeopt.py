@@ -47,6 +47,10 @@ DEFAULT_GRID = 401
 #: Per-axis resolution of the discrepancy grid (3-D cube) and default
 #: per-axis resolution of :func:`surface_points`.
 DISCREPANCY_GRID = 41
+#: Largest per-axis resolution :func:`surface_points` and the slice
+#: optimizer accept: a 4001 x 4001 mesh has 16 M nodes, 128 MB per float64
+#: array.
+MAX_GRID = 4001
 #: Correlation labels of the standard sweep, from +1 down to -1.
 DEFAULT_RHOS = (1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0)
 #: Grid and refined optima may differ by at most this much in value.
@@ -256,6 +260,8 @@ def _validate_grid(grid: int, minimum: int) -> int:
         raise BadParams(f"grid must be an integer, got {grid!r}")
     if grid < minimum:
         raise BadParams(f"grid must be at least {minimum}, got {grid}")
+    if grid > MAX_GRID:
+        raise BadParams(f"grid must be at most {MAX_GRID}, got {grid}")
     return int(grid)
 
 
@@ -364,19 +370,15 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
     """
     rho = _validate_rho(rho)
     grid = _validate_grid(grid, minimum=11)
-    if rho == 1.0:
-        # payoff p on the pinned line; maximal at p = 1
+    if abs(rho) == 1.0:
+        # payoff p on the rho = +1 line, maximal at p = 1; 3 - p on the
+        # rho = -1 line, maximal at p = 0
+        value, point = ((1.0, (1.0, 0.0, 1.0)) if rho > 0
+                        else (3.0, (0.0, 1.0, 0.0)))
         return OptimumReport(
-            label="rho=+1", point=(1.0, 0.0, 1.0), value=1.0, mode="slice",
+            label=f"rho={rho:+g}", point=point, value=value, mode="slice",
             diagnostics={"rho": rho, "grid": grid, "iterations": 0,
-                         "boundary": True, "pinned": True, "grid_value": 1.0},
-        )
-    if rho == -1.0:
-        # payoff 3 - p on the pinned line; maximal at p = 0
-        return OptimumReport(
-            label="rho=-1", point=(0.0, 1.0, 0.0), value=3.0, mode="slice",
-            diagnostics={"rho": rho, "grid": grid, "iterations": 0,
-                         "boundary": True, "pinned": True, "grid_value": 3.0},
+                         "boundary": True, "pinned": True, "grid_value": value},
         )
 
     g = np.linspace(0.0, 1.0, grid)

@@ -277,3 +277,32 @@ def test_the_package_namespace_imports_nothing_from_its_modules():
               and any(target is not None
                       for _, target in _import_targets(node))]
     assert inside == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that nothing in the module reads.  An import
+    inside a function counts too; ``__future__`` imports bind no name."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_every_import_is_used():
+    # no linter runs in CI: a leftover import (say numpy in cli) would
+    # pass every other test and still load the module it names
+    unused = {module: names for module, tree in _package_trees().items()
+              if (names := _unused_imports(tree))}
+    assert unused == {}
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import numpy as np\nimport os.path\nimport math\n"
+                     "from .core import gradient, MODES\n"
+                     "def f(x: MODES):\n    from scipy import optimize\n"
+                     "    return math.pi + optimize.x + os.sep\n")
+    assert _unused_imports(tree) == ["gradient", "np"]

@@ -113,6 +113,18 @@ class TestExitCodes:
                                  "--grid", "1")
         assert code == 2 and "grid" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("surface", "--rho", "0.5", "--grid", "200000"),
+        ("surface", "--rho", "1", "--grid", "4002"),
+        ("tree-opt", "--rho", "0.5", "--grid", "100000000000"),
+        ("tree-opt", "--sweep", "--grid", "4002"),
+    ])
+    def test_grid_maximum_is_a_usage_error(self, capsys, argv):
+        # refused before any mesh is allocated, not a MemoryError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: grid must be at most 4001, got {argv[-1]}\n"
+
     def test_tree_opt_needs_exactly_one_target(self, capsys):
         code, out, err = run_cli(capsys, "tree-opt")
         assert code == 2
@@ -495,19 +507,23 @@ class TestRenderHelpers:
     def test_cells_cover_every_scalar_type(self):
         report = Report(
             title="probe",
-            columns=("a", "b", "c", "d", "e", "f"),
-            rows=((None, True, 3, 0.25, (1.0, 2.0), "text"),),
+            columns=("a", "b", "c", "d", "e", "f", "g", "h", "i"),
+            rows=((None, True, 3, 0.25, (1.0, 2.0), "text", math.nan,
+                   math.inf, -math.inf),),
             payload={"rows": []},
         )
         assert render(report, "csv", 6).splitlines()[1] == \
-            ",true,3,0.25,1;2,text"
+            ",true,3,0.25,1;2,text,nan,inf,-inf"
+        assert render(report, "text", 6).splitlines()[3] == \
+            "   true  3  0.25  1;2  text  nan  inf  -inf"
 
     def test_json_rounds_floats_to_six_significant_digits(self):
         report = Report(title="probe", columns=("v",), rows=((1.0,),),
-                        payload={"v": 1.0306749817, "w": [float("inf")]})
+                        payload={"v": 1.0306749817,
+                                 "w": [math.inf, math.nan, -math.inf]})
         payload = json.loads(render(report, "json"))
         assert payload["v"] == 1.03067
-        assert payload["w"] == ["inf"]
+        assert payload["w"] == ["inf", "nan", "-inf"]
 
 
 class TestEntryPoints:

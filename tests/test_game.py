@@ -35,7 +35,8 @@ class TestPayoffForm:
         assert form(0.5, 0.5) == pytest.approx(3.0 - 1.0 - 0.5 + 1.0)
 
     def test_coefficients_round_trip(self):
-        assert PayoffForm(1, 2, 3, 4).coefficients() == (1.0, 2.0, 3.0, 4.0)
+        assert dataclasses.astuple(PayoffForm(1, 2, 3, 4)) == (1.0, 2.0, 3.0,
+                                                               4.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(BadParams):
@@ -44,8 +45,10 @@ class TestPayoffForm:
             PayoffForm(0, math.nan, 0, 0)
 
     def test_default_game_coefficients(self):
-        assert DEFAULT_GAME.x_payoff.coefficients() == (3.0, -2.0, -1.0, 4.0)
-        assert DEFAULT_GAME.y_payoff.coefficients() == (1.0, 3.0, 1.0, -2.0)
+        assert dataclasses.astuple(DEFAULT_GAME.x_payoff) == (3.0, -2.0, -1.0,
+                                                              4.0)
+        assert dataclasses.astuple(DEFAULT_GAME.y_payoff) == (1.0, 3.0, 1.0,
+                                                              -2.0)
 
 
 class TestBackwardInduction:

@@ -155,10 +155,11 @@ class TestTableCorrelated:
 
     def test_probability_conservation_components(self, report):
         s = sample_points("correlated", 1, report.seed)[0]
-        e = report.entry("P(0,0)+P(1,1)", "P_B")
+        cells = {(e.row, e.column): e for e in report.entries}
+        e = cells["P(0,0)+P(1,1)", "P_B"]
         p = s["p"]
         np.testing.assert_allclose(e.components, (0.0, -(1 - p), p), atol=1e-6)
-        e = report.entry("P(0,0)+P(1,1)", "P_M")
+        e = cells["P(0,0)+P(1,1)", "P_M"]
         a = s["alpha1"]
         np.testing.assert_allclose(e.components,
                                    (0.0, a, -(1 - a), 2 * a - 1), atol=1e-6)
@@ -175,14 +176,16 @@ class TestTableCorrelated:
                 assert e.worst_error <= 1e-8
 
     def test_entropy_row_diverges_in_limit(self, report):
+        cells = {(e.row, e.column): e for e in report.entries}
         for col in ("P_M", "P_B"):
-            e = report.entry("E_xy-E_x", col)
+            e = cells["E_xy-E_x", col]
             assert e.kinds == ("diverging",)
             assert e.passed
 
     def test_correlation_row_nonzero_in_limit(self, report):
+        cells = {(e.row, e.column): e for e in report.entries}
         for col in ("P_M", "P_B"):
-            e = report.entry("rho_xy", col)
+            e = cells["rho_xy", col]
             assert e.expected == "nonzero"
             assert e.passed
             assert e.kinds == ("diverging",) or e.evidence > 1e-6
@@ -206,17 +209,19 @@ class TestTableIndependent:
     def test_conditional_component_pattern(self, report):
         s = sample_points("independent", 1, report.seed)[0]
         p, q = s["p"], s["q"]
-        e = report.entry("P_x|y(0|0)-Px(0)", "P_B")
+        cells = {(e.row, e.column): e for e in report.entries}
+        e = cells["P_x|y(0|0)-Px(0)", "P_B"]
         w = p * (1 - p) / (1 - q)
         np.testing.assert_allclose(e.components, (0.0, -w, w), atol=1e-6)
         a, bb = s["alpha1"], s["beta12"] + s["beta3"]
-        e = report.entry("P_x|y(0|0)-Px(0)", "P_M")
+        e = cells["P_x|y(0|0)-Px(0)", "P_M"]
         w = a * (1 - a) / (1 - bb)
         np.testing.assert_allclose(e.components, (0.0, w, -w, 0.0), atol=1e-6)
 
     def test_entropy_row_nonzero_along_ladder(self, report):
+        cells = {(e.row, e.column): e for e in report.entries}
         for col in ("P_M", "P_B"):
-            e = report.entry("E_xy-E_x-E_y", col)
+            e = cells["E_xy-E_x-E_y", col]
             assert e.passed
             assert e.kinds == ("diverging",) or e.evidence > 1e-6
 
@@ -266,12 +271,13 @@ class TestTablePlumbing:
         rows, columns = CASES[case]
         samples = sample_points(case, 20, seed)
         report = table1(case, n_samples=20, seed=seed)
+        cells = {(e.row, e.column): e for e in report.entries}
         for row in rows:
             for col in columns:
                 rel = lambda z: float(row.relation(col.joint_of(z)))
                 alone = [gradient(rel, col.point_of(s), col.mode)
                          for s in samples]
-                entry = report.entry(row.label, col.name)
+                entry = cells[row.label, col.name]
                 assert entry.kinds == tuple(sorted({r.kind for r in alone}))
                 assert repr(entry.components) == repr(alone[0].components)
 

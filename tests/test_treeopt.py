@@ -428,6 +428,10 @@ class TestMaximizePayoffOnSlice:
             treeopt.maximize_payoff_on_slice(0.5, grid=10)
         with pytest.raises(BadParams):
             treeopt.maximize_payoff_on_slice(0.5, grid=2.5)
+        with pytest.raises(BadParams, match="at most 4001, got 4002"):
+            treeopt.maximize_payoff_on_slice(0.5, grid=treeopt.MAX_GRID + 1)
+        with pytest.raises(BadParams, match="at most 4001, got 4002"):
+            treeopt.surface_points(0.5, grid=treeopt.MAX_GRID + 1)
 
     def test_diagnostics_fields(self):
         rep = treeopt.maximize_payoff_on_slice(0.5)
