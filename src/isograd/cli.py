@@ -17,10 +17,14 @@ import sys
 from dataclasses import asdict, astuple, dataclass
 from typing import Any, Callable, Sequence
 
-from . import dice, game, gaussian, jointbinary, strategy, treeopt
-from .core import MODES, gradient, mode_named, simplex_volume
 from .errors import BadParams, ConvergenceFailure, IsogradError, NonFinite
-from .jointbinary import CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION
+
+# Each command imports its module when it runs, so that a call loads only
+# what it dispatches to.  The parser therefore restates core.MODES and
+# treeopt's DEFAULT_GRID and DISCREPANCY_GRID; a test pins them equal.
+MODES = ("constrained", "unconstrained", "limit")
+DEFAULT_GRID = 401
+DISCREPANCY_GRID = 41
 
 OUT_OF_SCOPE = "out of scope (no construction given)"
 
@@ -177,6 +181,7 @@ def _gradient_payload(result) -> dict[str, Any]:
 
 
 def _cmd_dice(ns: argparse.Namespace) -> Report:
+    from . import dice
     per_space = dice.maximize_per_space()
     constrained = dice.maximize_constrained_target()
     square = next(r for r in constrained if r.label == dice.SQUARE.label)
@@ -198,6 +203,7 @@ def _cmd_dice(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_gaussian_check(ns: argparse.Namespace) -> Report:
+    from . import gaussian
     checks = gaussian.check_suite(tol=ns.tol)
     payload = {
         "params": list(gaussian.DEFAULT_PARAMS.as_array()),
@@ -229,6 +235,7 @@ _GRADIENT_COLUMNS = ("quantity", "mode", "kind", "value", "magnitude",
 
 
 def _cmd_joint(ns: argparse.Namespace) -> Report:
+    from . import jointbinary
     payload: dict[str, Any] = {"op": ns.op, "mode": ns.mode}
     if ns.op != "mle":
         point = jointbinary.JointPoint(*_required(ns, "point"))
@@ -277,6 +284,7 @@ _TABLE_CASES = {"corr": "correlated", "ind": "independent"}
 
 
 def _cmd_table1(ns: argparse.Namespace) -> Report:
+    from . import strategy
     case = _TABLE_CASES[ns.case]
     report = strategy.table1(case, n_samples=ns.samples, seed=ns.seed)
     rows = tuple(
@@ -304,6 +312,7 @@ def _slice_row(rep, best) -> tuple[Any, ...]:
 
 
 def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
+    from . import treeopt
     if ns.sweep:
         result = treeopt.sweep(grid=ns.grid)
         title = f"payoff maxima per correlation slice (grid={ns.grid})"
@@ -325,6 +334,7 @@ def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_surface(ns: argparse.Namespace) -> Report:
+    from . import treeopt
     points = treeopt.surface_points(ns.rho, grid=ns.grid)
     return Report(
         title=f"constant-correlation surface rho={ns.rho:+g} "
@@ -337,6 +347,7 @@ def _cmd_surface(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_game(ns: argparse.Namespace) -> Report:
+    from . import game
     spec = game.GameSpec(
         x_payoff=game.PayoffForm(*_parse_list(ns.cx, 4, "--cx")),
         y_payoff=game.PayoffForm(*_parse_list(ns.cy, 4, "--cy")),
@@ -368,6 +379,9 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
     inside.  The two readings disagree on every row that involves a
     gradient, a dimension, or a volume.
     """
+    from . import jointbinary
+    from .core import gradient, mode_named, simplex_volume
+    from .jointbinary import CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION
     pin = jointbinary.JointPoint(0.5, 0.0, 0.0, 0.5)
     counts = jointbinary.CountData(5, 0, 0, 5)
     eps = 1e-5
@@ -497,17 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single slice to maximize")
     target.add_argument("--sweep", action="store_true",
                         help="run the standard nine-slice sweep")
-    tree.add_argument("--grid", type=int, default=treeopt.DEFAULT_GRID,
+    tree.add_argument("--grid", type=int, default=DEFAULT_GRID,
                       help=f"grid points per axis "
-                           f"(default: {treeopt.DEFAULT_GRID})")
+                           f"(default: {DEFAULT_GRID})")
 
     surf = sub.add_parser("surface", parents=[common],
                           help="emit (p,q,r) triples of one correlation "
                                "surface")
     surf.add_argument("--rho", type=float, required=True)
-    surf.add_argument("--grid", type=int, default=treeopt.DISCREPANCY_GRID,
+    surf.add_argument("--grid", type=int, default=DISCREPANCY_GRID,
                       help=f"grid points per axis "
-                           f"(default: {treeopt.DISCREPANCY_GRID})")
+                           f"(default: {DISCREPANCY_GRID})")
 
     gm = sub.add_parser("game", parents=[common],
                         help="two-stage game under three coupling regimes")

@@ -27,16 +27,17 @@ returns for output k alone.  ``gradient`` is that call with one output.
 
 The shared formulas live here once: ``xlogx`` for every entropy, the
 Euclidean norm of every gradient, the tangent basis of a constraint set,
-and the central-difference loop.  So do the
-two SciPy searches the optimizers polish with, which import SciPy on their
-first call: ``import isograd.core`` loads numpy and the standard library only.
+and the central-difference loop.  So do the two searches the optimizers
+polish with, Nelder-Mead and bounded Brent, ported step for step from
+SciPy so that their results are bitwise SciPy's: ``import isograd.core``
+loads numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -505,17 +506,139 @@ def entropy_of_free(free: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# polish searches (SciPy, imported on first call)
+# polish searches
 
 
-def minimize(fun: Callable[[np.ndarray], float], x0, **options):
-    """``scipy.optimize.minimize``; its ``OptimizeResult`` is returned as is."""
-    from scipy.optimize import minimize as search
-    return search(fun, x0, **options)
+class Search(NamedTuple):
+    """Where a polish search stopped: ``fun`` at ``x`` after ``nit``
+    iterations and ``nfev`` evaluations."""
+
+    x: Any
+    fun: float
+    nit: int
+    nfev: int
 
 
-def minimize_scalar(fun: Callable[[float], float], **options):
-    """``scipy.optimize.minimize_scalar``; its ``OptimizeResult`` is returned
-    as is."""
-    from scipy.optimize import minimize_scalar as search
-    return search(fun, **options)
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    """The simplex and its values, best first."""
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
+             fatol: float, maxiter: int) -> Search:
+    """Nelder-Mead (Nelder & Mead 1965) from ``x0``, step for step SciPy
+    1.17's ``minimize(method="Nelder-Mead")`` with its standard
+    coefficients, so ``x``, ``fun``, ``nit`` and ``nfev`` are bitwise its.
+
+    The first simplex moves one coordinate of ``x0`` each by 5 % (to
+    0.00025 from 0).  The search stops when every vertex is within ``xatol``
+    of the best and every value within ``fatol``, or at ``maxiter``
+    iterations.  ``fun`` gets a copy of each probe.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim])
+    sim, fsim = _by_value(sim, fsim)   # SciPy sorts the first simplex twice
+    nit = 1
+    while True:
+        sim, fsim = _by_value(sim, fsim)
+        if nit >= maxiter or (np.abs(sim[1:] - sim[0]).max() <= xatol
+                              and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            return Search(sim[0], fsim.min(), nit, nfev)
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:   # contract outside, towards the reflection
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:                # contract inside
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [f(v) for v in sim[1:]]
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        nit += 1
+
+
+def minimize_scalar(fun: Callable[[float], float], bounds, *, xatol: float,
+                    maxiter: int) -> Search:
+    """Bounded Brent search (Brent 1973) over ``bounds``, step for step
+    SciPy 1.17's ``minimize_scalar(method="bounded")``, so ``x``, ``fun``
+    and ``nfev`` are bitwise its; ``nit`` counts evaluations too.
+
+    ``x`` is the best point so far, ``w`` the second best and ``v`` the one
+    before ``w``; a parabola through the three sets the next step when it
+    lands inside the bracket [a, b], and a golden section does otherwise.
+    The search stops when ``x`` is within about ``xatol`` of the bracket's
+    midpoint and the bracket is that narrow, or at ``maxiter`` evaluations.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = bounds
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = fun(x)
+    nfev = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    while abs(x - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = (abs(p) < abs(0.5 * q * r)
+                         and q * (a - x) < p < q * (b - x))
+            if parabolic:
+                rat = p / q
+                u = x + rat
+                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                    rat = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            rat = golden * e
+        step = max(abs(rat), tol1)
+        u = x - step if rat < 0 else x + step
+        fu = fun(u)
+        nfev += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        if nfev >= maxiter:
+            break
+    return Search(x, fx, nfev, nfev)

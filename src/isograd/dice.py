@@ -127,8 +127,8 @@ def _entropy_of_params(params: np.ndarray) -> float:
 def _polish(params, value):
     """Nelder-Mead refinement; keeps the grid point unless strictly better."""
     x0 = np.asarray(params, dtype=float)
-    res = minimize(lambda x: -_entropy_of_params(x), x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000})
+    res = minimize(lambda x: -_entropy_of_params(x), x0, xatol=1e-10,
+                   fatol=1e-13, maxiter=20000)
     if math.isfinite(res.fun) and -res.fun > value:
         return tuple(float(v) for v in res.x), float(-res.fun), int(res.nit)
     return tuple(float(v) for v in params), float(value), 0

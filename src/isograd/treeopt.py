@@ -235,8 +235,7 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
         p, q, r = np.clip(z, 0.0, 1.0)
         return -discrepancy_payoff(p, q, r)
 
-    res = minimize(negated, point, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
+    res = minimize(negated, point, xatol=1e-10, fatol=1e-13, maxiter=2000)
     if -res.fun > value + 1e-12:
         point = np.clip(res.x, 0.0, 1.0)
         value = float(-res.fun)
@@ -387,7 +386,7 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
     if rho > 0.0:
         res = minimize_scalar(
             lambda p: -float(slice_payoff(p, float(_bound_clamped(p, rho)), rho)),
-            bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+            bounds=(0.0, 1.0), xatol=1e-12, maxiter=500)
         iterations = int(res.nfev)
         pb = float(res.x)
         candidates.append((float(-res.fun), pb, float(_bound_clamped(pb, rho))))

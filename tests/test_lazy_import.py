@@ -1,14 +1,17 @@
-"""The package loads nothing until a module is named, and SciPy loads on
-the first polish.
+"""The package loads nothing until a module is named, a command loads only
+what it runs, and nothing loads SciPy.
 
 ``import isograd`` loads the standard library only: its namespace is its
 modules, each imported the first time it is named (``isograd.<module>`` or
-``from isograd import <module>``), and it holds no other name.  Every
-command that does not optimize loads numpy and the standard library only.
-The polishes call SciPy through the module globals ``dice.minimize``,
-``treeopt.minimize`` and ``treeopt.minimize_scalar``; the benchmark's tracer
-wraps those names, so these tests pin that each is still a module attribute
-reached on every polish and still returns SciPy's result with its ``nfev``.
+``from isograd import <module>``), and it holds no other name.  The CLI
+imports a command's module when it dispatches to it, so each command loads
+its module, what that imports, and numpy where that needs it: ``game``
+loads no numpy.  The polishes run the ports of SciPy's two searches in
+``core`` through the module globals ``dice.minimize``, ``treeopt.minimize``
+and ``treeopt.minimize_scalar``; the benchmark's tracer wraps those names,
+so these tests pin that each is still a module attribute reached on every
+polish and still returns a result with its ``nfev``.  A fresh interpreter
+that cannot import SciPy prints what every polishing command prints.
 """
 
 import json
@@ -20,25 +23,32 @@ from pathlib import Path
 import pytest
 
 import isograd
-from isograd import dice, treeopt
+from isograd import cli, core, dice, treeopt
 from isograd.cli import main
 
-# runs in a fresh interpreter: argv (or None for a bare import) in, whether
-# SciPy got loaded and what the command printed out
+# runs in a fresh interpreter: argv (or None for a bare import) in; whether
+# SciPy got loaded, which isograd modules and whether numpy did, and what the
+# command printed out
 _PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
-out = io.StringIO()
+out, err = io.StringIO(), io.StringIO()
 import isograd
 if argv is not None:
     from isograd.cli import main
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
 else:
     rc = None
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"rc": rc, "scipy": scipy, "stdout": out.getvalue()}))
+loaded = sorted(m for m in sys.modules if m.startswith("isograd."))
+print(json.dumps({"rc": rc, "scipy": scipy, "isograd": loaded,
+                  "numpy": "numpy" in sys.modules,
+                  "stdout": out.getvalue(), "stderr": err.getvalue()}))
 """
+
+# the same, where any import of SciPy fails
+_NO_SCIPY_PROBE = "import sys\nsys.modules['scipy'] = None\n" + _PROBE
 
 NUMPY_ONLY = (
     ["gaussian-check"],
@@ -110,18 +120,58 @@ class TestLazyScipy:
         assert probe["rc"] == 0
         assert probe["scipy"] == []
 
-    @pytest.mark.parametrize("argv", (["dice"], ["tree-opt", "--sweep"]),
-                             ids=lambda a: " ".join(a))
-    def test_polishing_command_loads_scipy(self, argv, capsys):
-        probe = _fresh(argv)
+    @pytest.mark.parametrize("argv, rc", [
+        pytest.param(argv, rc, id=" ".join(argv)) for argv, rc in (
+            (["dice"], 0), (["tree-opt", "--sweep"], 0),
+            # the documented refusal: grid and polish disagree
+            (["tree-opt", "--rho", "0.25", "--grid", "51"], 3))])
+    def test_polishing_command_runs_without_scipy(self, argv, rc, capsys):
+        probe = _fresh(argv, _NO_SCIPY_PROBE)
+        assert probe["rc"] == rc
+        assert main(argv) == rc
+        printed = capsys.readouterr()
+        assert (probe["stdout"], probe["stderr"]) == (printed.out, printed.err)
+
+
+#: command -> the isograd modules a fresh call loads besides ``cli``: its
+#: handler's modules and what they import
+LOADS = {
+    ("game",): {"errors", "game"},
+    ("joint", "--op", "fisher", "--point", "0.5,0,0,0.5"):
+        {"core", "errors", "jointbinary"},
+    ("report-eq1-4",): {"core", "errors", "jointbinary"},
+    ("gaussian-check",): {"core", "errors", "gaussian"},
+    ("table1", "--case", "ind", "--samples", "2"):
+        {"core", "errors", "jointbinary", "strategy"},
+    ("dice",): {"core", "dice", "errors", "reports"},
+    ("tree-opt", "--rho", "0.5", "--grid", "51"):
+        {"core", "errors", "reports", "treeopt"},
+    ("surface", "--rho", "0.5", "--grid", "11"):
+        {"core", "errors", "reports", "treeopt"},
+}
+
+
+class TestLazyDispatch:
+    @pytest.mark.parametrize("argv", LOADS, ids=" ".join)
+    def test_command_loads_its_modules_only(self, argv):
+        probe = _fresh(list(argv))
         assert probe["rc"] == 0
-        assert "scipy.optimize" in probe["scipy"]
-        assert main(argv) == 0
-        assert probe["stdout"] == capsys.readouterr().out
+        assert set(probe["isograd"]) == {
+            f"isograd.{m}" for m in LOADS[argv] | {"cli"}}
+
+    def test_game_loads_no_numpy(self):
+        probe = _fresh(["game"])
+        assert probe["rc"] == 0
+        assert probe["numpy"] is False
+
+    def test_parser_constants_are_the_modules(self):
+        assert cli.MODES == core.MODES
+        assert cli.DEFAULT_GRID == treeopt.DEFAULT_GRID
+        assert cli.DISCREPANCY_GRID == treeopt.DISCREPANCY_GRID
 
 
 class TestTracedNames:
-    """The polishes call the SciPy searches through these module globals."""
+    """The polishes call the two searches through these module globals."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
