@@ -16,8 +16,8 @@ Modules
 -------
 core
     Probability vectors, constraint sets, the two gradient modes, entropy
-    and simplex-volume helpers, and the SciPy searches the optimizers
-    polish with (SciPy is imported on their first call).
+    and simplex-volume helpers, and the Nelder-Mead and bounded Brent
+    searches the optimizers polish with.
 dice
     Die-rolling payoff (volume^2 * entropy) maximized per space, under a
     constrained target, and over the ambient square.

@@ -26,11 +26,13 @@ the tangent basis is built once, and result k is bitwise what ``gradient``
 returns for output k alone.  ``gradient`` is that call with one output.
 
 The shared formulas live here once: ``xlogx`` for every entropy, the
-Euclidean norm of every gradient, the tangent basis of a constraint set,
-and the central-difference loop.  So do the two searches the optimizers
-polish with, Nelder-Mead and bounded Brent, ported step for step from
-SciPy so that their results are bitwise SciPy's: ``import isograd.core``
-loads numpy and the standard library only.
+tangent basis of a constraint set, the central-difference loop, and one
+Euclidean norm, ``math.hypot``, for the basis and every gradient.  Probes
+reach ``f`` as numpy arrays; results come back as tuples of Python floats,
+so no BLAS or SIMD kernel picks their last digit.  So do the two searches
+the optimizers polish with, Nelder-Mead and bounded Brent, ported step for
+step from SciPy so that their results are bitwise SciPy's: ``import
+isograd.core`` loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -230,7 +232,8 @@ class Limit:
 
     def __post_init__(self):
         require_finite(self.direction)
-        if len(self.direction) == 0 or abs(_norm(self.direction) - 1.0) > 1e-9:
+        if (len(self.direction) == 0
+                or abs(math.hypot(*self.direction) - 1.0) > 1e-9):
             raise PreconditionError("approach direction must be a unit vector")
 
 
@@ -283,7 +286,7 @@ class GradientResult:
     @property
     def magnitude(self) -> float:
         if self.kind == "finite":
-            return _norm(self.components)
+            return math.hypot(*self.components)
         if self.kind == "diverging":
             return math.inf
         return math.nan
@@ -293,7 +296,7 @@ class GradientResult:
         """Largest raw gradient norm seen along the approach ladder."""
         if not self.ladder:
             return self.magnitude
-        return max(_norm(g) for g in self.ladder)
+        return max(math.hypot(*g) for g in self.ladder)
 
     def __len__(self) -> int:
         return len(self.components) if self.components is not None else 0
@@ -303,20 +306,7 @@ class GradientResult:
         """A finite result over the tangent basis whose columns are ``basis``."""
         return GradientResult(
             kind="finite", components=tuple(float(v) for v in components),
-            basis=_tuples(basis.T))
-
-
-def _tuples(rows) -> tuple[tuple[float, ...], ...]:
-    """Rows of an array (or arrays) as tuples of floats, the form results
-    carry."""
-    return tuple(tuple(row.tolist()) for row in rows)
-
-
-def _norm(v) -> float:
-    """Euclidean norm of a vector: numpy's own fast path for a real 1-D
-    ``np.linalg.norm``, so bitwise its result, without the dispatch."""
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(float(v.dot(v)))
+            basis=tuple(map(tuple, basis.T.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +314,17 @@ def _norm(v) -> float:
 
 
 def _eval(f: Callable[[np.ndarray], Sequence[float]],
-          x: np.ndarray) -> np.ndarray:
+          x: np.ndarray) -> tuple[float, ...]:
     """Every output of ``f`` at ``x``; a DomainError names the first that
     is not finite."""
     try:
-        values = [float(v) for v in f(np.asarray(x, dtype=float))]
+        values = tuple(float(v) for v in f(np.asarray(x, dtype=float)))
     except (ZeroDivisionError, FloatingPointError, OverflowError, ValueError) as exc:
         raise DomainError(f"function not evaluable at {np.asarray(x)}: {exc}") from exc
     for v in values:
         if not math.isfinite(v):
             raise DomainError(f"function not finite at {np.asarray(x)}: {v!r}")
-    return np.array(values)
+    return values
 
 
 def _free_coords(at) -> np.ndarray:
@@ -346,17 +336,19 @@ def _free_coords(at) -> np.ndarray:
 
 
 def _central(f: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
-             steps: np.ndarray, h: float) -> np.ndarray:
+             steps: np.ndarray, h: float) -> tuple[tuple[float, ...], ...]:
     """Central differences of every output of ``f`` at ``x`` along each row
-    of ``steps``: one row per output, one column per step."""
-    diffs = [(_eval(f, x + s) - _eval(f, x - s)) / (2.0 * h) for s in steps]
+    of ``steps``: one tuple per output, one entry per step."""
+    diffs = [[(a - b) / (2.0 * h) for a, b in zip(_eval(f, x + s),
+                                                  _eval(f, x - s))]
+             for s in steps]
     if not diffs:   # nothing to step along: f at x still counts the outputs
-        return np.empty((len(_eval(f, x)), 0))
-    return np.stack(diffs, axis=1)
+        return ((),) * len(_eval(f, x))
+    return tuple(zip(*diffs))
 
 
 def finite_difference(f: Callable[[np.ndarray], float], at,
-                      h: float = FD_STEP) -> np.ndarray:
+                      h: float = FD_STEP) -> tuple[float, ...]:
     """Central-difference gradient over the free coordinates."""
     x = _free_coords(at)
     return _central(lambda y: (f(y),), x, h * np.eye(x.size), h)[0]
@@ -371,7 +363,7 @@ def _along(mode: Limit, x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _classify_ladder(grads: list[np.ndarray]):
+def _classify_ladder(grads: Sequence[tuple[float, ...]]):
     """Trend classification of a ladder of gradient evaluations.
 
     Finite when successive evaluations already agree, or when the successive
@@ -379,8 +371,9 @@ def _classify_ladder(grads: list[np.ndarray]):
     then the linear-in-epsilon extrapolated limit).  Diverging when the norms
     grow monotonically instead.  Undefined otherwise.
     """
-    norms = [_norm(g) for g in grads]
-    diffs = [_norm(grads[i + 1] - grads[i]) for i in range(len(grads) - 1)]
+    norms = [math.hypot(*g) for g in grads]
+    diffs = [math.hypot(*(b - a for a, b in zip(g, h)))
+             for g, h in zip(grads, grads[1:])]
     agree = all(d <= LADDER_RTOL * max(norms[i], norms[i + 1]) + LADDER_ATOL
                 for i, d in enumerate(diffs))
     if agree:
@@ -397,20 +390,19 @@ def _classify_ladder(grads: list[np.ndarray]):
     return "undefined"
 
 
-def _limit_result(grads: Sequence[np.ndarray]) -> GradientResult:
+def _limit_result(ladder: tuple[tuple[float, ...], ...]) -> GradientResult:
     """One output's Limit result from its gradients down the ladder."""
-    ladder = _tuples(grads)
-    kind = _classify_ladder(grads)
+    kind = _classify_ladder(ladder)
     if kind == "finite":
         # linear model g(eps) = g0 + c*eps fitted to the last two rungs
         e_prev, e_last = DEFAULT_LADDER[-2:]
-        lim = grads[-1] + (grads[-1] - grads[-2]) * (e_last / (e_prev - e_last))
-        return GradientResult(kind="finite", components=tuple(lim.tolist()),
-                              ladder=ladder)
+        scale = e_last / (e_prev - e_last)
+        lim = tuple(b + (b - a) * scale for a, b in zip(*ladder[-2:]))
+        return GradientResult(kind="finite", components=lim, ladder=ladder)
     if kind == "diverging":
-        tail = grads[-1]
-        nrm = _norm(tail)
-        direction = tuple((tail / nrm).tolist()) if nrm > 0 else None
+        tail = ladder[-1]
+        nrm = math.hypot(*tail)
+        direction = tuple(v / nrm for v in tail) if nrm > 0 else None
         return GradientResult(kind="diverging", blowup_direction=direction,
                               ladder=ladder)
     return GradientResult(kind="undefined", ladder=ladder)
@@ -431,9 +423,9 @@ def gradients(f: Callable[[np.ndarray], Sequence[float]], at,
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
         basis = cs.basis(x)
-        columns = _tuples(basis.T)
+        columns = tuple(map(tuple, basis.T.tolist()))
         return [GradientResult(kind="finite", components=comps, basis=columns)
-                for comps in _tuples(_central(f, x, FD_STEP * basis.T, FD_STEP))]
+                for comps in _central(f, x, FD_STEP * basis.T, FD_STEP)]
 
     if isinstance(mode, Limit):
         d = _along(mode, x)
@@ -449,7 +441,7 @@ def gradients(f: Callable[[np.ndarray], Sequence[float]], at,
         for eps in DEFAULT_LADDER:
             h = min(FD_STEP, eps / 20.0)
             rungs.append(_central(f, x + eps * d, h * np.eye(x.size), h))
-        return [_limit_result(grads) for grads in zip(*rungs)]
+        return [_limit_result(ladder) for ladder in zip(*rungs)]
 
     raise PreconditionError(f"unknown gradient mode: {mode!r}")
 

@@ -31,7 +31,8 @@ def _action(advantage: float) -> int:
 
 @dataclass(frozen=True)
 class PayoffForm:
-    """Bilinear payoff c0 + cx*x + cy*y + cxy*x*y."""
+    """Bilinear payoff c0 + cx*x + cy*y + cxy*x*y, finite at every pure
+    action pair."""
 
     c0: float
     cx: float
@@ -45,6 +46,10 @@ class PayoffForm:
                 raise BadParams(f"payoff coefficient {name} must be finite, "
                                 f"got {value!r}")
             object.__setattr__(self, name, value)
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            if not math.isfinite(self(x, y)):
+                raise BadParams(f"payoff at (x, y) = ({x}, {y}) is "
+                                f"{self(x, y)!r}, not finite")
 
     def __call__(self, x: float, y: float) -> float:
         """Evaluate at a pure action pair or (by bilinearity and

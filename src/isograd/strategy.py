@@ -40,7 +40,7 @@ from .jointbinary import (
 )
 
 # ladder approach directions: into the interior, off the special manifold
-MIXED_CORR_DIRECTION = tuple(np.array([0.0, -3.0, 1.0, 1.0]) / math.sqrt(11))
+MIXED_CORR_DIRECTION = tuple(v / math.sqrt(11) for v in (0.0, -3.0, 1.0, 1.0))
 BEHAV_CORR_DIRECTION = (0.0, 1.0 / math.sqrt(2), -1.0 / math.sqrt(2))
 MIXED_IND_DIRECTION = (0.0, 0.0, 1.0, 0.0)    # step beta2 off beta1 = beta2
 BEHAV_IND_DIRECTION = (0.0, 0.0, 1.0)         # step r off r = q
@@ -81,7 +81,7 @@ class ColumnSpec:
     name: str
     parameters: tuple[str, ...]
     mode: GradientMode
-    point_of: object = field(repr=False)      # sample -> coordinate array
+    point_of: object = field(repr=False)      # sample -> coordinates
     joint_of: object = field(repr=False)      # coordinates -> joint cells
 
     @property
@@ -249,33 +249,32 @@ INDEPENDENT_ROWS = (
 CORRELATED_COLUMNS = (
     ColumnSpec("P_M", ("alpha1", "beta1", "beta2", "beta3"),
                Limit(MIXED_CORR_DIRECTION),
-               lambda s: np.array([s["alpha1"], 1.0, 0.0, 0.0]),
+               lambda s: (s["alpha1"], 1.0, 0.0, 0.0),
                mixed_joint_cells),
     ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_CORR_DIRECTION),
-               lambda s: np.array([s["p"], 0.0, 1.0]),
+               lambda s: (s["p"], 0.0, 1.0),
                behavioural_joint_cells),
     ColumnSpec("P_M|beta1=1", ("alpha1",), Constrained(),
-               lambda s: np.array([s["alpha1"]]),
+               lambda s: (s["alpha1"],),
                lambda z: mixed_joint_cells((z[0], 1.0, 0.0, 0.0))),
     ColumnSpec("P_B|(q,r)=(0,1)", ("p",), Constrained(),
-               lambda s: np.array([s["p"]]),
+               lambda s: (s["p"],),
                lambda z: behavioural_joint_cells((z[0], 0.0, 1.0))),
 )
 
 INDEPENDENT_COLUMNS = (
     ColumnSpec("P_M", ("alpha1", "beta1", "beta2", "beta3"),
                Limit(MIXED_IND_DIRECTION),
-               lambda s: np.array([s["alpha1"], s["beta12"], s["beta12"],
-                                   s["beta3"]]),
+               lambda s: (s["alpha1"], s["beta12"], s["beta12"], s["beta3"]),
                mixed_joint_cells),
     ColumnSpec("P_B", ("p", "q", "r"), Limit(BEHAV_IND_DIRECTION),
-               lambda s: np.array([s["p"], s["q"], s["q"]]),
+               lambda s: (s["p"], s["q"], s["q"]),
                behavioural_joint_cells),
     ColumnSpec("P_M|beta1=beta2", ("alpha1", "beta_bar"), Constrained(),
-               lambda s: np.array([s["alpha1"], s["beta12"] + s["beta3"]]),
+               lambda s: (s["alpha1"], s["beta12"] + s["beta3"]),
                lambda z: behavioural_joint_cells((z[0], z[1], z[1]))),
     ColumnSpec("P_B|r=q", ("p", "q"), Constrained(),
-               lambda s: np.array([s["p"], s["q"]]),
+               lambda s: (s["p"], s["q"]),
                lambda z: behavioural_joint_cells((z[0], z[1], z[1]))),
 )
 

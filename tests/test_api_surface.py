@@ -280,15 +280,28 @@ def test_the_package_namespace_imports_nothing_from_its_modules():
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names an import binds that nothing in the module reads.  An import
-    inside a function counts too; ``__future__`` imports bind no name."""
-    bound = [alias.asname or alias.name.split(".")[0]
-             for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom))
-             and getattr(node, "module", None) != "__future__"
-             for alias in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(name for name in bound if name not in read)
+    """Names an import binds that nothing in its scope reads: the module
+    for a top-level import, the enclosing function (nested ones included)
+    for an import inside one.  ``__future__`` imports bind no name."""
+    unused = []
+
+    def check(scope: ast.AST) -> None:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name)}
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(node)
+                continue
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused.extend(name for alias in node.names
+                              if (name := alias.asname
+                                  or alias.name.split(".")[0]) not in read)
+            todo.extend(ast.iter_child_nodes(node))
+    check(tree)
+    return sorted(unused)
 
 
 def test_every_import_is_used():
@@ -306,3 +319,15 @@ def test_an_unused_import_is_found():
                      "def f(x: MODES):\n    from scipy import optimize\n"
                      "    return math.pi + optimize.x + os.sep\n")
     assert _unused_imports(tree) == ["gradient", "np"]
+
+
+def test_an_import_is_used_only_by_its_own_function():
+    # one handler imports dice without reading it; the other handler's
+    # read of the name does not reach the first one's import
+    tree = ast.parse("def _cmd_game(ns):\n"
+                     "    from . import game, dice\n"
+                     "    return game.solve(ns)\n"
+                     "def _cmd_dice(ns):\n"
+                     "    from . import dice\n"
+                     "    return dice.maximize(ns)\n")
+    assert _unused_imports(tree) == ["dice"]

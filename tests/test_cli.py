@@ -164,6 +164,11 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"--cx: {bad} is not a finite number" in err
 
+    def test_overflowing_payoff_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "game", "--cy", "1e308,1e308,1e308,0")
+        assert code == 2 and out == ""
+        assert err == "error: payoff at (x, y) = (0, 1) is inf, not finite\n"
+
     def test_unsupported_mode_rejected(self, capsys):
         code, out, err = run_cli(capsys, "joint", "--op", "fisher",
                                  "--mode", "limit",

@@ -44,6 +44,16 @@ class TestPayoffForm:
         with pytest.raises(BadParams):
             PayoffForm(0, math.nan, 0, 0)
 
+    @pytest.mark.parametrize("coefficients", [
+        (1e308, 1e308, 1e308, 0.0),      # +inf at (0, 1), (1, 0), (1, 1)
+        (0.0, -1e308, 0.0, -1e308),      # -inf at (1, 1) only
+        (-1e308, 0.0, -1e308, 0.0),      # -inf at (0, 1) and (1, 1)
+    ])
+    def test_rejects_a_pure_payoff_that_overflows(self, coefficients):
+        # an infinite payoff would make a reply read inf - inf as a tie
+        with pytest.raises(BadParams, match="not finite"):
+            PayoffForm(*coefficients)
+
     def test_default_game_coefficients(self):
         assert dataclasses.astuple(DEFAULT_GAME.x_payoff) == (3.0, -2.0, -1.0,
                                                               4.0)
