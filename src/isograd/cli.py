@@ -206,7 +206,7 @@ def _cmd_gaussian_check(ns: argparse.Namespace) -> Report:
     from . import gaussian
     checks = gaussian.check_suite(tol=ns.tol)
     payload = {
-        "params": list(gaussian.DEFAULT_PARAMS.as_array()),
+        "params": list(astuple(gaussian.DEFAULT_PARAMS)),
         "rows": [asdict(check) for check in checks],
         "all_passed": all(check.passed for check in checks),
     }
@@ -246,13 +246,11 @@ def _cmd_joint(ns: argparse.Namespace) -> Report:
         payload["counts"] = list(counts.counts)
     if ns.op == "fisher":
         matrix = jointbinary.fisher_information(point, mode=ns.mode)
-        k = matrix.shape[0]
-        payload.update(dimension=int(k),
-                       matrix=[[float(v) for v in row] for row in matrix])
+        payload.update(dimension=len(matrix), matrix=list(map(list, matrix)))
         return Report(f"Fisher information {at} [{ns.mode}]",
-                      ("row",) + tuple(f"F_{j}" for j in range(k)),
-                      tuple((i,) + tuple(float(v) for v in matrix[i])
-                            for i in range(k)), payload)
+                      ("row",) + tuple(f"F_{j}" for j in range(len(matrix))),
+                      tuple((i,) + row for i, row in enumerate(matrix)),
+                      payload)
     if ns.op == "mle":
         estimate = jointbinary.mle(counts, mode=ns.mode)
         payload["estimate"] = list(estimate.probs)
@@ -388,9 +386,8 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
     free = [v + eps * d for v, d in zip(pin.probs, CORRELATED_DIRECTION)]
     approach = jointbinary.JointPoint(*free, 1.0 - sum(free))
 
-    dim_f_con = jointbinary.fisher_information(pin, "constrained").shape[0]
-    dim_f_lim = jointbinary.fisher_information(approach,
-                                               "unconstrained").shape[0]
+    dim_f_con = len(jointbinary.fisher_information(pin, "constrained"))
+    dim_f_lim = len(jointbinary.fisher_information(approach, "unconstrained"))
     dim_l_con = len(jointbinary.log_likelihood_gradient(counts, pin,
                                                         "constrained"))
     dim_l_lim = len(jointbinary.log_likelihood_gradient(counts, approach,
@@ -400,7 +397,7 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
 
     def normalization_mass(x) -> float:
         j = jointbinary.joint_from_free(x)
-        return float(j[0] + j[3])
+        return j[0] + j[3]
 
     norm_con, norm_lim = (
         gradient(normalization_mass, pin.pv,

@@ -28,7 +28,7 @@ returns for output k alone.  ``gradient`` is that call with one output.
 The shared formulas live here once: ``xlogx`` for every entropy, the
 tangent basis of a constraint set, the central-difference loop, and one
 Euclidean norm, ``math.hypot``, for the basis and every gradient.  Probes
-reach ``f`` as numpy arrays; results come back as tuples of Python floats,
+reach ``f`` as numpy arrays; the basis and every result are float tuples,
 so no BLAS or SIMD kernel picks their last digit.  So do the two searches
 the optimizers polish with, Nelder-Mead and bounded Brent, ported step for
 step from SciPy so that their results are bitwise SciPy's: ``import
@@ -101,9 +101,6 @@ class ProbVector:
     def free(self) -> tuple[float, ...]:
         return self.probs[:-1]
 
-    def free_array(self) -> np.ndarray:
-        return np.asarray(self.free, dtype=float)
-
 
 def require_finite(values: Sequence[float]) -> None:
     for v in values:
@@ -171,45 +168,49 @@ class ConstraintSet:
                                    f"{len(x)} free coordinates")
             return i
         eqs = tuple(((lambda x, i=i: float(x[at(x, i)])), float(v),
-                     (lambda x, i=i: np.eye(len(x))[at(x, i)]))
+                     (lambda x, i=i: [float(k == at(x, i))
+                                      for k in range(len(x))]))
                     for i, v in indices_values.items())
         return ConstraintSet(eqs, label)
 
     def __len__(self) -> int:
         return len(self.equalities)
 
-    def max_violation(self, x: np.ndarray) -> float:
+    def max_violation(self, x: Sequence[float]) -> float:
         return max((abs(float(eq[0](x)) - eq[1]) for eq in self.equalities),
                    default=0.0)
 
-    def satisfied(self, x: np.ndarray) -> bool:
+    def satisfied(self, x: Sequence[float]) -> bool:
         return self.max_violation(x) <= FEASIBILITY_TOL
 
-    def basis(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal basis of the tangent space at ``x``, as columns.
+    def basis(self, x) -> tuple[tuple[float, ...], ...]:
+        """Orthonormal tangent basis at ``x``: one float tuple per vector.
 
         One Gram-Schmidt pass runs over the constraint gradients and then
         over the axes e_1..e_n, in that order, dropping each vector whose
         remainder is at most :data:`BASIS_DROP_TOL` of its starting norm.
         The axes that survive are the basis: coordinate pins give exactly the
-        remaining axes, in order, and each column is positive on the axis it
+        remaining axes, in order, and each vector is positive on the axis it
         came from.
         """
         n = len(x)
-        rows = [eq[2](x) if len(eq) > 2 else finite_difference(eq[0], x)
+        rows = [[float(v) for v in (eq[2](x) if len(eq) > 2
+                                    else finite_difference(eq[0], x))]
                 for eq in self.equalities]
+        if any(len(row) != n for row in rows):
+            raise BadDimension(f"'{self.label}' states a gradient whose "
+                               f"length is not {n}")
         found = []
-        for i, v in enumerate(np.reshape(rows, (len(rows), n)).tolist()
-                              + np.eye(n).tolist()):
+        for i, v in enumerate(rows + [[float(j == k) for k in range(n)]
+                                      for j in range(n)]):
             start = math.hypot(*v)
             for _, q in found:
-                c = sum([a * b for a, b in zip(q, v)])
+                c = _dot(q, v)
                 v = [a - c * b for a, b in zip(v, q)]
             left = math.hypot(*v)
             if left > BASIS_DROP_TOL * start:
-                found.append((i, [a / left for a in v]))
-        axes = [q for i, q in found if i >= len(rows)]
-        return np.array(axes, dtype=float).reshape(len(axes), n).T
+                found.append((i, tuple(a / left for a in v)))
+        return tuple(q for i, q in found if i >= len(rows))
 
 
 @dataclass(frozen=True)
@@ -301,16 +302,17 @@ class GradientResult:
     def __len__(self) -> int:
         return len(self.components) if self.components is not None else 0
 
-    @staticmethod
-    def finite(components, basis: np.ndarray) -> "GradientResult":
-        """A finite result over the tangent basis whose columns are ``basis``."""
-        return GradientResult(
-            kind="finite", components=tuple(float(v) for v in components),
-            basis=tuple(map(tuple, basis.T.tolist())))
-
 
 # ---------------------------------------------------------------------------
 # differentiation primitives
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """sum u_i v_i, added in order (``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
 
 
 def _eval(f: Callable[[np.ndarray], Sequence[float]],
@@ -328,15 +330,13 @@ def _eval(f: Callable[[np.ndarray], Sequence[float]],
 
 
 def _free_coords(at) -> np.ndarray:
-    if isinstance(at, ProbVector):
-        return at.free_array()
-    x = np.asarray(at, dtype=float)
+    x = np.asarray(at.free if isinstance(at, ProbVector) else at, dtype=float)
     require_finite(x.ravel().tolist())
     return x
 
 
 def _central(f: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
-             steps: np.ndarray, h: float) -> tuple[tuple[float, ...], ...]:
+             steps: Sequence, h: float) -> tuple[tuple[float, ...], ...]:
     """Central differences of every output of ``f`` at ``x`` along each row
     of ``steps``: one tuple per output, one entry per step."""
     diffs = [[(a - b) / (2.0 * h) for a, b in zip(_eval(f, x + s),
@@ -352,15 +352,6 @@ def finite_difference(f: Callable[[np.ndarray], float], at,
     """Central-difference gradient over the free coordinates."""
     x = _free_coords(at)
     return _central(lambda y: (f(y),), x, h * np.eye(x.size), h)[0]
-
-
-def _along(mode: Limit, x: np.ndarray) -> np.ndarray:
-    """The approach direction of ``mode`` as an array shaped like ``x``."""
-    d = np.asarray(mode.direction, dtype=float)
-    if d.shape != x.shape:
-        raise PreconditionError(
-            f"direction has {d.size} components, expected {x.size}")
-    return d
 
 
 def _classify_ladder(grads: Sequence[tuple[float, ...]]):
@@ -423,12 +414,15 @@ def gradients(f: Callable[[np.ndarray], Sequence[float]], at,
             raise InfeasiblePoint(
                 f"point violates '{cs.label}' by {cs.max_violation(x):.3e}")
         basis = cs.basis(x)
-        columns = tuple(map(tuple, basis.T.tolist()))
-        return [GradientResult(kind="finite", components=comps, basis=columns)
-                for comps in _central(f, x, FD_STEP * basis.T, FD_STEP)]
+        steps = [[FD_STEP * v for v in q] for q in basis]
+        return [GradientResult(kind="finite", components=comps, basis=basis)
+                for comps in _central(f, x, steps, FD_STEP)]
 
     if isinstance(mode, Limit):
-        d = _along(mode, x)
+        d = np.asarray(mode.direction, dtype=float)
+        if d.shape != x.shape:
+            raise PreconditionError(
+                f"direction has {d.size} components, expected {x.size}")
         if isinstance(at, ProbVector):
             for eps in DEFAULT_LADDER:
                 free = x + eps * d

@@ -75,7 +75,7 @@ def objective_F(p: ProbVector, space: DieSpace) -> float:
     """Payoff V^2 * E at a point of the embedded die space."""
     if p.n != 4:
         raise BadDimension("points live in the 4-outcome target space")
-    if not space.embedding.satisfied(p.free_array()):
+    if not space.embedding.satisfied(p.free):
         raise InfeasiblePoint(f"point is not on the {space.label} face")
     return space.volume ** 2 * entropy(p)
 

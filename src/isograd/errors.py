@@ -7,6 +7,8 @@ arguments rather than internal failures.
 
 from __future__ import annotations
 
+import numbers
+
 
 class IsogradError(Exception):
     """Base class for every error raised by this package."""
@@ -58,3 +60,10 @@ class UnsupportedRho(PreconditionError):
 
 class ConvergenceFailure(IsogradError):
     """Grid search and refinement disagree beyond the documented tolerance."""
+
+
+def require_real(name: str, value) -> float:
+    """``value`` as a float; BadParams unless a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParams(f"{name} must be a real number, got {value!r}")
+    return float(value)

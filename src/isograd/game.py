@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParams, UnsupportedRho
+from .errors import BadParams, UnsupportedRho, require_real
 
 _TIE_TOL = 0.0  # ties break toward action 0 on exactly zero advantage
 
@@ -40,8 +40,8 @@ class PayoffForm:
     cxy: float
 
     def __post_init__(self):
-        for name in ("c0", "cx", "cy", "cxy"):
-            value = float(getattr(self, name))
+        for name, value in vars(self).items():
+            value = require_real(f"payoff coefficient {name}", value)
             if not math.isfinite(value):
                 raise BadParams(f"payoff coefficient {name} must be finite, "
                                 f"got {value!r}")

@@ -22,20 +22,18 @@ probes; :func:`check_suite` runs every relation under both readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import astuple, dataclass
 
 from .core import (ConstraintSet, GradientResult, gradients, mode_named,
                    require_finite)
-from .errors import BadParams, InfeasiblePoint, PreconditionError
+from .errors import BadParams, InfeasiblePoint, PreconditionError, require_real
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Parameters of a correlated bivariate normal distribution."""
+    """Parameters of a correlated bivariate normal distribution, as floats."""
 
     mu_x: float = 0.0
     mu_y: float = 0.0
@@ -44,6 +42,8 @@ class NormalParams:
     rho: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, require_real(name, value))
         require_finite(vars(self).values())
         if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
             raise BadParams(
@@ -52,26 +52,22 @@ class NormalParams:
         if not abs(self.rho) < 1.0:
             raise BadParams(f"correlation must lie in (-1, 1): {self.rho}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mu_x, self.mu_y, self.sigma_x, self.sigma_y,
-                         self.rho], dtype=float)
-
 
 # ---------------------------------------------------------------------------
-# densities, vectorized over x, y; they take the parameters unchecked, since
-# the relations evaluate them at every finite-difference probe
+# densities at one point, on floats; they take the parameters unchecked,
+# since the relations evaluate them at every finite-difference probe
 
 def _normal(x, mu, sigma):
-    z = (np.asarray(x, dtype=float) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(TWO_PI))
+    z = (x - mu) / sigma
+    return math.exp(-0.5 * z * z) / (sigma * math.sqrt(TWO_PI))
 
 
 def _joint(x, y, mu_x, mu_y, sigma_x, sigma_y, rho):
-    u = (np.asarray(x, dtype=float) - mu_x) / sigma_x
-    v = (np.asarray(y, dtype=float) - mu_y) / sigma_y
+    u = (x - mu_x) / sigma_x
+    v = (y - mu_y) / sigma_y
     one = 1.0 - rho * rho
     q = (u * u - 2.0 * rho * u * v + v * v) / (2.0 * one)
-    return np.exp(-q) / (TWO_PI * sigma_x * sigma_y * math.sqrt(one))
+    return math.exp(-q) / (TWO_PI * sigma_x * sigma_y * math.sqrt(one))
 
 
 def _conditioned_mean(y, mu_x, mu_y, sigma_x, sigma_y, rho):
@@ -100,8 +96,8 @@ def _pointwise(z) -> tuple[float, float]:
     sigma_y, rho), sharing the marginal density of x."""
     x, y, mx, my, sx, sy, r = (float(v) for v in z)
     px = _normal(x, mx, sx)
-    return (float(_joint(x, y, mx, my, sx, sy, r) - px * _normal(y, my, sy)),
-            float(_conditional(x, y, mx, my, sx, sy, r) - px))
+    return (_joint(x, y, mx, my, sx, sy, r) - px * _normal(y, my, sy),
+            _conditional(x, y, mx, my, sx, sy, r) - px)
 
 
 def _expectation(z) -> tuple[float]:
@@ -123,42 +119,42 @@ RELATIONS = {relation: kind for kind, (_, relations) in STATISTICS.items()
 
 def analytic_rho_derivative(params: NormalParams, relation: str,
                             probe=None) -> float:
-    """d/d(rho) of the relation at rho = 0, in closed form."""
+    """d/d(rho) of the relation at rho = 0, in closed form; a pointwise
+    relation needs a finite ``probe`` (x, y)."""
     if relation not in RELATIONS:
         raise PreconditionError(f"unknown relation {relation!r}; "
                                 f"one of {sorted(RELATIONS)}")
     if RELATIONS[relation] == "expectation":
         return params.sigma_x * params.sigma_y
+    if probe is None or len(probe) != 2:
+        raise PreconditionError(f"{relation} needs a probe (x, y)")
+    require_finite(probe)
     x, y = probe
     u = (x - params.mu_x) / params.sigma_x
     v = (y - params.mu_y) / params.sigma_y
     if relation == "P_xy-P_xP_y":
-        return float(_normal(x, params.mu_x, params.sigma_x)
-                     * _normal(y, params.mu_y, params.sigma_y) * u * v)
-    return float(_normal(x, params.mu_x, params.sigma_x) * u * v)
+        return (_normal(x, params.mu_x, params.sigma_x)
+                * _normal(y, params.mu_y, params.sigma_y) * u * v)
+    return _normal(x, params.mu_x, params.sigma_x) * u * v
 
 
 def _kind_gradients(params: NormalParams, kind: str, mode: str,
                     probe) -> list[GradientResult]:
     """Gradients of every relation of one kind, in :data:`STATISTICS`
     order, from one shared-probe call at ``params`` (and ``probe``)."""
-    if kind == "pointwise":
-        z = np.concatenate(([probe[0], probe[1]], params.as_array()))
-    else:
-        z = params.as_array()
+    z = (*probe, *astuple(params)) if kind == "pointwise" else astuple(params)
     if mode == "unconstrained":
         raise PreconditionError("gaussian relations are read constrained "
                                 "(rho = 0 pinned) or as a limit in rho")
-    rho_index = z.size - 1
-    direction = np.zeros(z.size)
-    direction[rho_index] = 1.0
+    rho_index = len(z) - 1
+    direction = (0.0,) * rho_index + (1.0,)
     return gradients(STATISTICS[kind][0], z, mode_named(
         mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
 
 
 def rho_component(result: GradientResult) -> float:
     """The component along the correlation coordinate (always last)."""
-    return float(result.components[-1])
+    return result.components[-1]
 
 
 # ---------------------------------------------------------------------------

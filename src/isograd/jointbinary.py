@@ -21,14 +21,14 @@ readings disagree.  Entropies are core's cell entropy of joint or marginal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     ConstraintSet,
     GradientResult,
     ProbVector,
+    _dot,
     entropy_of_cells,
     gradient,
     gradients,
@@ -70,9 +70,6 @@ class JointPoint:
     def probs(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
-    def free_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=float)
-
 
 @dataclass(frozen=True)
 class CountData:
@@ -85,7 +82,7 @@ class CountData:
 
     def __post_init__(self):
         for v in self.counts:
-            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
                     or v < 0):
                 raise PreconditionError(f"counts must be nonnegative ints: {v!r}")
 
@@ -101,9 +98,9 @@ class CountData:
 # ---------------------------------------------------------------------------
 # statistics of a joint 4-vector (free-coordinate callables used by gradients)
 
-def joint_from_free(free) -> np.ndarray:
-    free = np.asarray(free, dtype=float)
-    return np.append(free, 1.0 - free.sum())
+def joint_from_free(free) -> tuple[float, float, float, float]:
+    a, b, c = (float(v) for v in free)
+    return (a, b, c, 1.0 - (a + b + c))
 
 
 def mean_x(j) -> float:
@@ -163,8 +160,8 @@ CORRELATED_CONSTRAINTS = ConstraintSet.pin({1: 0.0, 2: 0.0}, "b=c=0")
 # ad - bc with d = 1 - a - b - c, and its gradient (d - a, -(a + c), -(a + b))
 INDEPENDENT_CONSTRAINTS = ConstraintSet(
     ((lambda x: float(x[0] * (1.0 - x[0] - x[1] - x[2]) - x[1] * x[2]), 0.0,
-      lambda x: np.array([1.0 - 2.0 * x[0] - x[1] - x[2], -(x[0] + x[2]),
-                          -(x[0] + x[1])])),),
+      lambda x: (1.0 - 2.0 * x[0] - x[1] - x[2], -(x[0] + x[2]),
+                 -(x[0] + x[1]))),),
     "ad=bc")
 
 _ALL_CELLS = [0, 1, 2, 3]
@@ -184,31 +181,35 @@ def _reading(mode: str, what: str):
 
 
 def _pullback(p: JointPoint, mode: str, what: str):
-    """(J, DJ, p): a finite reading's tangent basis J, its live cells'
-    derivatives along J and their probabilities.  Raises unless the dead
-    cells are zero and the live ones positive."""
+    """(J, DJ^T, p): tangent basis, live-cell derivatives per basis vector,
+    live-cell probabilities.  Raises unless dead cells are 0, live ones > 0."""
     constraints, live = _reading(mode, what)
-    probs = np.array(p.probs)
-    if np.any(np.delete(probs, live)):
+    if any(v for i, v in enumerate(p.probs) if i not in live):
         raise InfeasiblePoint(f"{mode} {what} needs b = c = 0")
-    _require_positive(probs, live, f"{mode} {what}")
-    J = constraints.basis(p.free_array())
+    _require_positive(p.probs, live, f"{mode} {what}")
+    J = constraints.basis(p.probs[:3])
     # the resolved cell d = 1 - a - b - c moves against the other three
-    return J, np.vstack([J, -J.sum(axis=0)])[live], probs[live]
+    cells = [(*q, -(q[0] + q[1] + q[2])) for q in J]
+    return J, [[v[i] for i in live] for v in cells], [p.probs[i] for i in live]
 
 
-def _require_positive(probs: np.ndarray, live, what: str) -> None:
-    if np.any(probs[live] <= 0.0):
+def _pull(grads, cell_values) -> tuple[float, ...]:
+    """DJ^T v for a value v per live cell."""
+    return tuple(_dot(g, cell_values) for g in grads)
+
+
+def _require_positive(probs, live, what: str) -> None:
+    if any(probs[i] <= 0.0 for i in live):
         raise DomainError(f"{what} needs "
                           + ", ".join("abcd"[i] for i in live) + " > 0")
 
 
-def _live_counts(counts: CountData, mode: str) -> np.ndarray:
+def _live_counts(counts: CountData, mode: str) -> list[float]:
     """The counts on a checked reading's live cells; dead cells have none."""
-    n, live = np.array(counts.counts, dtype=float), _READINGS[mode][1]
-    if np.any(np.delete(n, live)):
+    live = _READINGS[mode][1]
+    if any(n for i, n in enumerate(counts.counts) if i not in live):
         raise DomainError("counts on zero-probability cells")
-    return n[live]
+    return [float(counts.counts[i]) for i in live]
 
 
 def entropy_gradient(p: JointPoint, mode: str = "constrained",
@@ -223,23 +224,25 @@ def entropy_gradient(p: JointPoint, mode: str = "constrained",
     """
     if mode in _READINGS:
         J, grads, probs = _pullback(p, mode, "entropy gradient")
-        # the form -(grads.T @ log p) would print the symmetric pin as -0
-        return GradientResult.finite(grads.T @ -np.log(probs), J)
+        # the form -(DJ^T log p) would print the symmetric pin as -0
+        return GradientResult(
+            "finite", _pull(grads, [-math.log(v) for v in probs]), basis=J)
     f = lambda x: entropy_xy(joint_from_free(x))
     return gradient(f, p.pv, mode_named(
         mode, CORRELATED_CONSTRAINTS,
         CORRELATED_DIRECTION if direction is None else direction))
 
 
-def fisher_information(p: JointPoint, mode: str = "constrained") -> np.ndarray:
-    """Fisher information matrix of the multinomial joint model.
+def fisher_information(p: JointPoint, mode: str = "constrained") -> tuple:
+    """Fisher information matrix of the multinomial joint model, row by row.
 
     The pullback DJ^T diag(1/p) DJ of the cell metric (Amari & Nagaoka,
     *Methods of Information Geometry*, 2000): 1/a + 1/d = 1/(a(1-a)) on the
     pinned family, the full 3x3 matrix over (a, b, c) on the open simplex.
     """
     _, grads, probs = _pullback(p, mode, "Fisher information")
-    return grads.T @ (grads / probs[:, None])
+    weighted = [[v / q for v, q in zip(g, probs)] for g in grads]
+    return tuple(_pull(weighted, g) for g in grads)
 
 
 def log_likelihood_gradient(counts: CountData, p: JointPoint,
@@ -248,8 +251,8 @@ def log_likelihood_gradient(counts: CountData, p: JointPoint,
     if counts.n == 0:
         raise EmptyData("no observations")
     J, grads, probs = _pullback(p, mode, "likelihood gradient")
-    score = _live_counts(counts, mode) / probs
-    return GradientResult.finite(grads.T @ score, J)
+    score = [n / v for n, v in zip(_live_counts(counts, mode), probs)]
+    return GradientResult("finite", _pull(grads, score), basis=J)
 
 
 def mle(counts: CountData, mode: str = "constrained") -> JointPoint:
@@ -307,8 +310,8 @@ def relation_suite(p: JointPoint, family: str, mode: str = "constrained",
     relations, approach, (constraints, live) = FAMILIES[family]
     if mode == "unconstrained":
         constraints, live = _READINGS[mode]
-    if mode in _READINGS and constraints.satisfied(p.free_array()):
-        _require_positive(np.array(p.probs), live, f"{mode} relation gradient")
+    if mode in _READINGS and constraints.satisfied(p.probs[:3]):
+        _require_positive(p.probs, live, f"{mode} relation gradient")
     m = mode_named(mode, constraints,
                    approach if direction is None else direction)
 

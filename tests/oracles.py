@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from isograd.gaussian import NormalParams, _joint
+from isograd.gaussian import NormalParams
 from isograd.jointbinary import CountData
 
 #: Gauss-Legendre nodes per axis; the box spans mu +- QUADRATURE_SPAN * sigma.
@@ -23,8 +23,21 @@ def marginal_entropy_gradient(free: np.ndarray) -> np.ndarray:
     return -np.log(free / rest)
 
 
+def bivariate_normal_density(params: NormalParams, X, Y) -> np.ndarray:
+    """exp(-d^T S^-1 d / 2) / (2 pi sqrt(det S)) on a mesh, from the
+    covariance matrix S of ``params`` and the offsets d = (X, Y) - mu."""
+    sx, sy, rho = params.sigma_x, params.sigma_y, params.rho
+    cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+    d = np.stack((np.asarray(X) - params.mu_x, np.asarray(Y) - params.mu_y),
+                 axis=-1)
+    quad = np.einsum("...i,ij,...j->...", d, np.linalg.inv(cov), d)
+    norm = 2.0 * math.pi * math.sqrt(np.linalg.det(cov))
+    return np.exp(-0.5 * quad) / norm
+
+
 def quadrature_expectation(params: NormalParams, f) -> float:
-    """E[f(x, y)] by a tensor Gauss-Legendre rule over the quadrature box."""
+    """E[f(x, y)] by a tensor Gauss-Legendre rule over the quadrature box,
+    weighted by :func:`bivariate_normal_density`."""
     t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     half_x = QUADRATURE_SPAN * params.sigma_x
     half_y = QUADRATURE_SPAN * params.sigma_y
@@ -33,7 +46,8 @@ def quadrature_expectation(params: NormalParams, f) -> float:
     wx = w * half_x
     wy = w * half_y
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(f(X, Y), dtype=float) * _joint(X, Y, *params.as_array())
+    vals = (np.asarray(f(X, Y), dtype=float)
+            * bivariate_normal_density(params, X, Y))
     return float(wx @ vals @ wy)
 
 

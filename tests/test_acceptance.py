@@ -11,6 +11,7 @@ import io
 import json
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_criterion_2_headline_report():
 def test_criterion_3_fisher():
     for a in np.linspace(0.01, 0.99, 99):
         scalar = jointbinary.fisher_information(
-            JointPoint(a, 0.0, 0.0, 1.0 - a), "constrained")[0, 0]
+            JointPoint(a, 0.0, 0.0, 1.0 - a), "constrained")[0][0]
         np.testing.assert_allclose(scalar, 1.0 / (a * (1.0 - a)),
                                    rtol=1e-10)
 
@@ -298,8 +299,8 @@ def _engine_vs_reference_cases():
             float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
             float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 1.5)),
             float(rng.uniform(-0.5, 0.5)))
-        z = np.concatenate((rng.uniform(-1, 1, size=2), params.as_array()))
-        f = lambda w: float(gaussian._joint(*w))
+        z = np.array([*rng.uniform(-1, 1, size=2), *astuple(params)])
+        f = lambda w: gaussian._joint(*w)
         res = gradient(f, z, Constrained(ConstraintSet.empty()))
         yield "gaussian", res.components, finite_difference(f, z, h=5e-7)
 

@@ -209,7 +209,7 @@ class TestConstrainedGradient:
         with pytest.raises(BadDimension, match=r"'pin x\[2\]=0'"):
             ConstraintSet.pin({2: 0.0}).basis(np.array([0.2, 0.3]))
         numpy_index = ConstraintSet.pin({np.int64(1): 0.0})
-        assert numpy_index.basis(np.array([0.2, 0.3])).shape == (2, 1)
+        assert numpy_index.basis(np.array([0.2, 0.3])) == ((1.0, 0.0),)
 
     def test_dimension_drops_by_rank_not_count(self):
         # duplicated constraint counts once
@@ -282,10 +282,12 @@ class TestTangentBasis:
         basis = ConstraintSet(tuple((None, 0.0, lambda x, r=r: r)
                                     for r in jac)).basis(np.zeros(jac.shape[1]))
         n = jac.shape[1]
-        assert basis.shape == (n, n - np.linalg.matrix_rank(jac))
-        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
+        assert len(basis) == n - np.linalg.matrix_rank(jac)
+        assert all(len(q) == n for q in basis)
+        vectors = np.array(basis).reshape(len(basis), n)
+        np.testing.assert_allclose(vectors @ vectors.T, np.eye(len(basis)),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(jac @ basis, 0.0, rtol=0,
+        np.testing.assert_allclose(jac @ vectors.T, 0.0, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(jac).max()))
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -298,7 +300,8 @@ class TestTangentBasis:
             cs = ConstraintSet.pin({i: x[i] for i in pinned})
             basis = cs.basis(x)
             keep = [i for i in range(n) if i not in pinned]
-            assert basis.tobytes() == np.eye(n)[:, keep].tobytes()
+            assert (np.array(basis).reshape(len(keep), n).tobytes()
+                    == np.eye(n)[keep].tobytes())
 
     def test_stated_rows_take_no_evaluations(self, eval_calls):
         x = np.array([0.2, 0.3, 0.1])
@@ -309,13 +312,20 @@ class TestTangentBasis:
         ConstraintSet(((lambda v: float(v[0]), 0.2),)).basis(x)
         assert eval_calls == [6]
 
+    def test_a_stated_row_of_the_wrong_length_is_refused(self):
+        cs = ConstraintSet(((lambda v: float(v[0]), 0.2,
+                             lambda v: (1.0, 0.0)),), "short row")
+        with pytest.raises(BadDimension, match="'short row' states a "
+                           "gradient whose length is not 3"):
+            cs.basis((0.2, 0.3, 0.1))
+
     def test_stated_gradient_is_the_row_used(self):
         # x0 + x1 = 0.5 stated as (1, 1, 0): the surviving axes are e_1
         # minus its normal part, (1, -1, 0)/sqrt(2), and e_3
         cs = ConstraintSet(((lambda v: float(v[0] + v[1]), 0.5,
                              lambda v: np.array([1.0, 1.0, 0.0])),))
         basis = cs.basis(np.array([0.2, 0.3, 0.1]))
-        expected = [[1.0 / SQRT2, 0.0], [-1.0 / SQRT2, 0.0], [0.0, 1.0]]
+        expected = [[1.0 / SQRT2, -1.0 / SQRT2, 0.0], [0.0, 0.0, 1.0]]
         np.testing.assert_allclose(basis, expected, rtol=0, atol=1e-15)
 
 

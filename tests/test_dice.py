@@ -135,7 +135,7 @@ class TestFaceConstraints:
 
     def test_basis_takes_no_function_evaluations(self, eval_calls):
         for space in ALL_SPACES:
-            space.embedding.basis(space.live_uniform().free_array())
+            space.embedding.basis(space.live_uniform().free)
         assert eval_calls[0] == 0
 
     def test_coin_face_probes_stay_on_the_face(self):

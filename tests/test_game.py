@@ -44,6 +44,15 @@ class TestPayoffForm:
         with pytest.raises(BadParams):
             PayoffForm(0, math.nan, 0, 0)
 
+    @pytest.mark.parametrize("bad", ["x", "3", None, True, 1j])
+    def test_rejects_a_non_number(self, bad):
+        with pytest.raises(BadParams, match="must be a real number"):
+            PayoffForm(bad, 0, 0, 0)
+
+    def test_stores_floats(self):
+        assert [type(v) for v in dataclasses.astuple(
+            PayoffForm(1, 2, np.int64(3), 4.0))] == [float] * 4
+
     @pytest.mark.parametrize("coefficients", [
         (1e308, 1e308, 1e308, 0.0),      # +inf at (0, 1), (1, 0), (1, 1)
         (0.0, -1e308, 0.0, -1e308),      # -inf at (1, 1) only

@@ -1,6 +1,7 @@
 """Tests for the correlated bivariate normal family."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -41,7 +42,20 @@ def relation_result(params, relation, mode, probe=None):
 class TestNormalParams:
     def test_accepts_valid(self):
         p = NormalParams(0.3, -0.2, 1.1, 0.7, 0.9)
-        np.testing.assert_allclose(p.as_array(), [0.3, -0.2, 1.1, 0.7, 0.9])
+        assert astuple(p) == (0.3, -0.2, 1.1, 0.7, 0.9)
+
+    def test_stores_floats(self):
+        p = NormalParams(0, np.int64(0), 2, 3, 0)
+        assert [type(v) for v in astuple(p)] == [float] * 5
+        # the covariance row's closed form is sigma_x * sigma_y, a float
+        [row] = [r for r in check_suite(p)
+                 if r.relation == "<xy>-<x><y>" and r.mode == "limit"]
+        assert type(row.expected) is float and row.expected == 6.0
+
+    @pytest.mark.parametrize("bad", ["0.3", None, True, 1j])
+    def test_rejects_a_non_number(self, bad):
+        with pytest.raises(BadParams, match="mu_x must be a real number"):
+            NormalParams(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["mu_x", "mu_y", "sigma_x", "sigma_y",
@@ -65,15 +79,15 @@ class TestNormalParams:
 
 class TestDensities:
     """The private densities the pointwise relations are built from, on
-    (mu_x, mu_y, sigma_x, sigma_y, rho) in :meth:`NormalParams.as_array`
+    (mu_x, mu_y, sigma_x, sigma_y, rho) in ``NormalParams`` field
     order."""
 
     def test_standard_origin(self):
-        assert _joint(0.0, 0.0, *NormalParams().as_array()) == pytest.approx(
+        assert _joint(0.0, 0.0, *astuple(NormalParams())) == pytest.approx(
             1.0 / TWO_PI, rel=1e-12)
 
     def test_correlated_origin(self):
-        assert _joint(0.0, 0.0, *NormalParams(rho=0.5).as_array()) == \
+        assert _joint(0.0, 0.0, *astuple(NormalParams(rho=0.5))) == \
             pytest.approx(1.0 / (TWO_PI * math.sqrt(0.75)), rel=1e-12)
 
     def test_factorizes_at_rho_zero(self):
@@ -82,19 +96,19 @@ class TestDensities:
         for _ in range(20):
             x, y = rng.normal(size=2) * 2.0
             prod = _normal(x, p.mu_x, p.sigma_x) * _normal(y, p.mu_y, p.sigma_y)
-            assert abs(_joint(x, y, *p.as_array()) - prod) < 1e-14
+            assert abs(_joint(x, y, *astuple(p)) - prod) < 1e-14
 
     def test_conditional_reduces_to_marginal_when_independent(self):
         p = NormalParams(0.3, -0.2, 1.1, 0.7, 0.0)
         for y in (-1.0, 0.0, 2.0):
             for x in (-0.5, 0.3, 1.7):
-                assert _conditional(x, y, *p.as_array()) == pytest.approx(
+                assert _conditional(x, y, *astuple(p)) == pytest.approx(
                     _normal(x, p.mu_x, p.sigma_x), rel=1e-14)
 
     def test_conditioned_mean_shift(self):
         p = NormalParams(0.3, 0.0, 1.0, 1.0, 0.5)
         # rho (sx/sy) (y - mu_y) = 0.5 * 1 * 2
-        assert _conditioned_mean(2.0, *p.as_array()) == pytest.approx(
+        assert _conditioned_mean(2.0, *astuple(p)) == pytest.approx(
             1.3, rel=1e-15)
 
     def test_conditional_agrees_with_bayes(self):
@@ -103,9 +117,9 @@ class TestDensities:
             p = NormalParams(0.3, -0.2, 1.1, 0.7, rho)
             for _ in range(10):
                 x, y = rng.normal(size=2)
-                bayes = (_joint(x, y, *p.as_array())
+                bayes = (_joint(x, y, *astuple(p))
                          / _normal(y, p.mu_y, p.sigma_y))
-                assert _conditional(x, y, *p.as_array()) == pytest.approx(
+                assert _conditional(x, y, *astuple(p)) == pytest.approx(
                     bayes, rel=1e-12)
 
 
@@ -115,7 +129,7 @@ class TestMoments:
 
     def test_closed_moments_match_quadrature(self):
         for p in self.PARAM_SETS:
-            m = _moments(*p.as_array())
+            m = _moments(*astuple(p))
             quad_x = quadrature_expectation(p, lambda x, y: x)
             quad_y = quadrature_expectation(p, lambda x, y: y)
             quad_xy = quadrature_expectation(p, lambda x, y: x * y)
@@ -125,7 +139,7 @@ class TestMoments:
 
     def test_covariance_closed_form(self):
         p = NormalParams(0.3, -0.2, 1.1, 0.7, 0.5)
-        m = _moments(*p.as_array())
+        m = _moments(*astuple(p))
         assert m["<xy>"] - m["<x>"] * m["<y>"] == pytest.approx(
             0.5 * 1.1 * 0.7, rel=1e-12)
 
@@ -209,6 +223,16 @@ class TestRelationGradients:
             _kind_gradients(DEFAULT_PARAMS, "expectation", "unconstrained",
                             None)
 
+    @pytest.mark.parametrize("relation", ["P_xy-P_xP_y", "P_x|y-P_x"])
+    def test_pointwise_derivative_needs_a_finite_probe(self, relation):
+        with pytest.raises(PreconditionError, match=r"needs a probe \(x, y\)"):
+            analytic_rho_derivative(DEFAULT_PARAMS, relation)
+        with pytest.raises(PreconditionError, match="needs a probe"):
+            analytic_rho_derivative(DEFAULT_PARAMS, relation, (0.1, 0.2, 0.3))
+        for probe in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(NonFinite):
+                analytic_rho_derivative(DEFAULT_PARAMS, relation, probe)
+
 
 class TestCheckSuite:
     def test_all_rows_pass(self):
@@ -259,7 +283,7 @@ class TestCheckSuite:
         _, relations = STATISTICS["pointwise"]
         for probe in probe_grid(params):
             shared = _kind_gradients(params, "pointwise", mode, probe)
-            z = np.array([*probe, *params.as_array()])
+            z = np.array([*probe, *astuple(params)])
             direction = np.zeros(7)
             direction[6] = 1.0
             reading = mode_named(mode, ConstraintSet.pin({6: 0.0}, "rho=0"),

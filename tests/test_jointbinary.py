@@ -24,6 +24,7 @@ from isograd.errors import (
     PreconditionError,
 )
 from isograd.jointbinary import (
+    CORRELATED_CONSTRAINTS,
     FAMILIES,
     INDEPENDENT_CONSTRAINTS,
     CountData,
@@ -55,7 +56,7 @@ class TestJointPoint:
         p = JointPoint(0.4, 0.1, 0.2, 0.3)
         np.testing.assert_allclose(p.probs, (0.4, 0.1, 0.2, 0.3), atol=1e-15)
         assert p.d == 1.0 - math.fsum((p.a, p.b, p.c))   # last cell resolved
-        np.testing.assert_allclose(p.free_array(), [0.4, 0.1, 0.2])
+        assert p.pv.free == p.probs[:3]
 
     def test_validates(self):
         with pytest.raises(NotNormalized):
@@ -254,6 +255,49 @@ class TestPullback:
                            "unconstrained")
 
 
+def float_tuples(value, depth: int) -> bool:
+    """Whether ``value`` is a tuple of Python floats (depth 1) or a tuple
+    of such tuples (depth 2)."""
+    if depth == 1:
+        return type(value) is tuple and all(type(v) is float for v in value)
+    return type(value) is tuple and all(float_tuples(v, 1) for v in value)
+
+
+class TestFloatRepresentation:
+    """The finite readings and their bases are tuples of Python floats, and
+    a reading's basis is the one ``core.gradient`` uses for its
+    constraints."""
+
+    READINGS = [
+        ("constrained", JointPoint(0.3, 0.0, 0.0, 0.7), CountData(4, 0, 0, 9)),
+        ("unconstrained", JointPoint(0.4, 0.1, 0.2, 0.3),
+         CountData(3, 5, 2, 7)),
+    ]
+
+    def test_constraint_bases(self):
+        x = (0.36, 0.24, 0.24)
+        for constraints, n in ((CORRELATED_CONSTRAINTS, 1),
+                               (INDEPENDENT_CONSTRAINTS, 2),
+                               (ConstraintSet.empty(), 3)):
+            basis = constraints.basis(x)
+            assert float_tuples(basis, 2) and len(basis) == n
+            assert basis == constraints.basis(np.array(x))
+
+    @pytest.mark.parametrize("mode, p, counts", READINGS)
+    def test_finite_readings(self, mode, p, counts):
+        matrix = fisher_information(p, mode)
+        assert float_tuples(matrix, 2)
+        assert all(len(row) == len(matrix) for row in matrix)
+        engine = gradient(lambda x: entropy_xy(joint_from_free(x)), p.pv,
+                          mode_named(mode, CORRELATED_CONSTRAINTS))
+        for res in (entropy_gradient(p, mode),
+                    log_likelihood_gradient(counts, p, mode)):
+            assert float_tuples(res.components, 1)
+            assert float_tuples(res.basis, 2)
+            assert res.basis == engine.basis
+            assert len(res.components) == len(matrix)
+
+
 class TestFisherInformation:
     def test_constrained_values(self):
         np.testing.assert_allclose(
@@ -266,8 +310,8 @@ class TestFisherInformation:
     def test_constrained_grid_matches_reciprocal_variance(self):
         for a in np.arange(0.01, 0.995, 0.01):
             F = fisher_information(JointPoint(a, 0, 0, 1 - a), "constrained")
-            assert F.shape == (1, 1)
-            np.testing.assert_allclose(F[0, 0], 1.0 / (a * (1.0 - a)),
+            assert len(F) == 1 and len(F[0]) == 1
+            np.testing.assert_allclose(F[0][0], 1.0 / (a * (1.0 - a)),
                                        rtol=1e-10)
 
     def test_constrained_preconditions(self):
@@ -293,7 +337,7 @@ class TestFisherInformation:
             for o in range(4):
                 g = finite_difference(
                     lambda x, o=o: math.log(joint_from_free(x)[o]),
-                    p.free_array(), h=1e-6)
+                    p.probs[:3], h=1e-6)
                 brute += p.probs[o] * np.outer(g, g)
             np.testing.assert_allclose(F, brute, rtol=1e-8)
 
@@ -508,7 +552,8 @@ class TestIndependenceTangent:
                     axes.append(found[-1])
         x = [float(at[v]) for v in (a, b, c)]
         as_float = lambda m: np.array(m.evalf(30).tolist(), dtype=float)
-        return x, as_float(row).ravel(), as_float(sp.Matrix.hstack(*axes))
+        return x, as_float(row).ravel(), as_float(
+            sp.Matrix.vstack(*(q.T for q in axes)))
 
     @pytest.mark.parametrize("px", SHARES)
     @pytest.mark.parametrize("py", SHARES)

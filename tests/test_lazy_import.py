@@ -6,7 +6,8 @@ modules, each imported the first time it is named (``isograd.<module>`` or
 ``from isograd import <module>``), and it holds no other name.  The CLI
 imports a command's module when it dispatches to it, so each command loads
 its module, what that imports, and numpy where that needs it: ``game``
-loads no numpy.  The polishes run the ports of SciPy's two searches in
+loads no numpy, and only the modules with a mesh, a probe or a seeded
+sampler import it.  The polishes run the ports of SciPy's two searches in
 ``core`` through the module globals ``dice.minimize``, ``treeopt.minimize``
 and ``treeopt.minimize_scalar``; the benchmark's tracer wraps those names,
 so these tests pin that each is still a module attribute reached on every
@@ -14,6 +15,7 @@ polish and still returns a result with its ``nfev``.  A fresh interpreter
 that cannot import SciPy prints what every polishing command prints.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -133,6 +135,11 @@ class TestLazyScipy:
         assert (probe["stdout"], probe["stderr"]) == (printed.out, printed.err)
 
 
+#: the only modules that import numpy: the finite-difference probes
+#: (``core``), grids and meshes (``dice``, ``treeopt``) and the seeded
+#: sampler (``strategy``)
+NUMPY_MODULES = {"core", "dice", "strategy", "treeopt"}
+
 #: command -> the isograd modules a fresh call loads besides ``cli``: its
 #: handler's modules and what they import
 LOADS = {
@@ -163,6 +170,24 @@ class TestLazyDispatch:
         probe = _fresh(["game"])
         assert probe["rc"] == 0
         assert probe["numpy"] is False
+
+    def test_numpy_is_imported_only_where_a_mesh_or_probe_needs_it(self):
+        package = Path(isograd.__file__).resolve().parent
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in package.glob("*.py")}
+        assert NUMPY_MODULES < set(trees)
+        importers = set()
+        for name, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [node.module]
+                else:
+                    continue
+                if any(r.partition(".")[0] == "numpy" for r in roots):
+                    importers.add(name)
+        assert importers <= NUMPY_MODULES, sorted(importers - NUMPY_MODULES)
 
     def test_parser_constants_are_the_modules(self):
         assert cli.MODES == core.MODES
