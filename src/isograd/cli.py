@@ -378,7 +378,7 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
     gradient, a dimension, or a volume.
     """
     from . import jointbinary
-    from .core import gradient, mode_named, simplex_volume
+    from .core import Constrained, Limit, gradient, simplex_volume
     from .jointbinary import CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION
     pin = jointbinary.JointPoint(0.5, 0.0, 0.0, 0.5)
     counts = jointbinary.CountData(5, 0, 0, 5)
@@ -400,9 +400,9 @@ def _cmd_report(ns: argparse.Namespace) -> Report:
         return j[0] + j[3]
 
     norm_con, norm_lim = (
-        gradient(normalization_mass, pin.pv,
-                 mode_named(name, CORRELATED_CONSTRAINTS, CORRELATED_DIRECTION))
-        for name in ("constrained", "limit"))
+        gradient(normalization_mass, pin.pv, mode)
+        for mode in (Constrained(CORRELATED_CONSTRAINTS),
+                     Limit(CORRELATED_DIRECTION)))
     suite_con = dict(jointbinary.relation_suite(pin, "correlated",
                                                 "constrained"))
     suite_lim = dict(jointbinary.relation_suite(pin, "correlated", "limit"))

@@ -330,8 +330,12 @@ def _eval(f: Callable[[np.ndarray], Sequence[float]],
 
 
 def _free_coords(at) -> np.ndarray:
+    """The free coordinates of a point: a finite 1-D vector."""
     x = np.asarray(at.free if isinstance(at, ProbVector) else at, dtype=float)
-    require_finite(x.ravel().tolist())
+    if x.ndim != 1:
+        raise BadDimension(f"a point is a 1-D vector of coordinates, "
+                           f"got shape {x.shape}")
+    require_finite(x.tolist())
     return x
 
 

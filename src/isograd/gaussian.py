@@ -16,7 +16,9 @@ covariance relation takes the closed-form moments, which integrate x and y
 out, and lives on (mu_x, mu_y, sigma_x, sigma_y, rho).  Relations on the
 same coordinates are the outputs of one statistic, so one
 ``core.gradients`` call at a point differentiates all of them from shared
-probes; :func:`check_suite` runs every relation under both readings.
+probes.  :data:`STATISTICS` holds each statistic with its two readings,
+``core`` mode values built once at import, and :func:`check_suite` runs
+every relation under both.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
-from .core import (ConstraintSet, GradientResult, gradients, mode_named,
-                   require_finite)
+from .core import (Constrained, ConstraintSet, GradientMode, GradientResult,
+                   Limit, gradients, require_finite)
 from .errors import BadParams, InfeasiblePoint, PreconditionError, require_real
 
 TWO_PI = 2.0 * math.pi
@@ -106,14 +108,22 @@ def _expectation(z) -> tuple[float]:
     return (moments["<xy>"] - moments["<x>"] * moments["<y>"],)
 
 
+def _readings(n: int) -> tuple[tuple[str, GradientMode], ...]:
+    """Both readings on n coordinates, rho last, each after the name a
+    :class:`RelationCheck` prints: rho = 0 pinned, then rho -> 0."""
+    return (("constrained",
+             Constrained(ConstraintSet.pin({n - 1: 0.0}, "rho=0"))),
+            ("limit", Limit((0.0,) * (n - 1) + (1.0,))))
+
+
 #: kind -> (the statistic on the kind's coordinates, the relations it
-#: outputs, in order)
+#: outputs, in order, and its two readings)
 STATISTICS = {
-    "pointwise": (_pointwise, ("P_xy-P_xP_y", "P_x|y-P_x")),
-    "expectation": (_expectation, ("<xy>-<x><y>",)),
+    "pointwise": (_pointwise, ("P_xy-P_xP_y", "P_x|y-P_x"), _readings(7)),
+    "expectation": (_expectation, ("<xy>-<x><y>",), _readings(5)),
 }
 #: relation -> kind
-RELATIONS = {relation: kind for kind, (_, relations) in STATISTICS.items()
+RELATIONS = {relation: kind for kind, (_, relations, _) in STATISTICS.items()
              for relation in relations}
 
 
@@ -136,20 +146,6 @@ def analytic_rho_derivative(params: NormalParams, relation: str,
         return (_normal(x, params.mu_x, params.sigma_x)
                 * _normal(y, params.mu_y, params.sigma_y) * u * v)
     return _normal(x, params.mu_x, params.sigma_x) * u * v
-
-
-def _kind_gradients(params: NormalParams, kind: str, mode: str,
-                    probe) -> list[GradientResult]:
-    """Gradients of every relation of one kind, in :data:`STATISTICS`
-    order, from one shared-probe call at ``params`` (and ``probe``)."""
-    z = (*probe, *astuple(params)) if kind == "pointwise" else astuple(params)
-    if mode == "unconstrained":
-        raise PreconditionError("gaussian relations are read constrained "
-                                "(rho = 0 pinned) or as a limit in rho")
-    rho_index = len(z) - 1
-    direction = (0.0,) * rho_index + (1.0,)
-    return gradients(STATISTICS[kind][0], z, mode_named(
-        mode, ConstraintSet.pin({rho_index: 0.0}, "rho=0"), direction))
 
 
 def rho_component(result: GradientResult) -> float:
@@ -192,26 +188,26 @@ def check_suite(params: NormalParams = DEFAULT_PARAMS,
     positive and finite.  Relations of one kind are
     differentiated together, one call per probe and semantics.
     """
-    if tol is not None and not 0.0 < tol < math.inf:
+    if tol is not None and not 0.0 < require_real("tol", tol) < math.inf:
         raise BadParams(f"tol must be positive and finite, got {tol!r}")
     if params.rho != 0.0:
         raise InfeasiblePoint("relations are evaluated at rho = 0")
+    coords = astuple(params)
     rows = []
-    for kind, (_, relations) in STATISTICS.items():
-        probe_list = probe_grid(params) if kind == "pointwise" else [None]
-        constrained = [_kind_gradients(params, kind, "constrained", probe)
-                       for probe in probe_list]
-        limit = [_kind_gradients(params, kind, "limit", probe)
-                 for probe in probe_list]
+    for kind, (statistic, relations, readings) in STATISTICS.items():
+        probes = probe_grid(params) if kind == "pointwise" else [()]
+        (con, con_mode), (lim, lim_mode) = readings
+        constrained = [gradients(statistic, (*probe, *coords), con_mode)
+                       for probe in probes]
+        limit = [gradients(statistic, (*probe, *coords), lim_mode)
+                 for probe in probes]
         for k, relation in enumerate(relations):
-            worst = 0.0
-            for results in constrained:
-                worst = max(worst, results[k].magnitude)
-            rows.append(RelationCheck(relation, "constrained", worst, None,
+            worst = max(results[k].magnitude for results in constrained)
+            rows.append(RelationCheck(relation, con, worst, None,
                                       worst < (1e-6 if tol is None else tol)))
             best, best_expected = 0.0, 0.0
             errors = []
-            for probe, results in zip(probe_list, limit):
+            for probe, results in zip(probes, limit):
                 comp = rho_component(results[k])
                 expected = analytic_rho_derivative(params, relation, probe)
                 errors.append(abs(comp - expected))
@@ -219,6 +215,6 @@ def check_suite(params: NormalParams = DEFAULT_PARAMS,
                     best, best_expected = comp, expected
             passed = (max(errors) < (1e-4 if tol is None else tol)
                       and abs(best) > 1e-3)
-            rows.append(RelationCheck(relation, "limit", best, best_expected,
+            rows.append(RelationCheck(relation, lim, best, best_expected,
                                       passed))
     return rows

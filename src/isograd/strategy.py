@@ -20,6 +20,7 @@ with, and each row its expected pattern in all four columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -288,11 +289,26 @@ ZERO_TOL = 1e-8
 NONZERO_FLOOR = 1e-6
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, which must be an integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise PreconditionError(
+            f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def sample_points(case: str, n: int, seed: int) -> list[dict]:
-    """Reproducible parameter draws keeping every denominator comfortable."""
-    rng = np.random.default_rng(seed)
+    """Reproducible parameter draws keeping every denominator comfortable;
+    ``n`` and ``seed`` are non-negative integers."""
+    if case not in CASES:
+        raise PreconditionError(
+            f"unknown case {case!r}; one of {sorted(CASES)}")
+    rng = np.random.default_rng(_count("seed", seed, 0))
     out = []
-    for _ in range(n):
+    for _ in range(_count("n", n, 0)):
         s = {"alpha1": rng.uniform(0.15, 0.85), "p": rng.uniform(0.15, 0.85)}
         if case == "independent":
             s["beta12"] = rng.uniform(0.10, 0.30)
@@ -359,17 +375,13 @@ def table1(case: str, n_samples: int = 20, seed: int = 42) -> Table1Report:
     case is "correlated" (the rho = 1 half) or "independent" (rho = 0).
     One vector gradient per column and sample covers all rows.
     """
-    if case not in CASES:
-        raise PreconditionError(
-            f"unknown case {case!r}; one of {sorted(CASES)}")
-    if n_samples < 1:
-        raise PreconditionError(f"n_samples must be at least 1, got {n_samples}")
-    rows, columns = CASES[case]
+    n_samples = _count("n_samples", n_samples, 1)
     samples = sample_points(case, n_samples, seed)
+    rows, columns = CASES[case]
     by_column = [_column_gradients(rows, col, samples) for col in columns]
     entries = [_evaluate_cell(row, col, row.expected[c], samples,
                               by_column[c][r])
                for r, row in enumerate(rows)
                for c, col in enumerate(columns)]
-    return Table1Report(case=case, seed=seed, n_samples=n_samples,
+    return Table1Report(case=case, seed=int(seed), n_samples=n_samples,
                         columns=columns, entries=tuple(entries))

@@ -78,6 +78,11 @@ CASES: dict[str, list[str]] = {
         "joint", "--op", "relations", "--family", "independent", "--mode",
         "limit", "--point", _PRODUCT],
     "tree-opt-slice": ["tree-opt", "--rho", "0.75"],
+    # paths no other case and no benchmark op reaches
+    "game-boundary-response": ["game", "--cx", "3,-2,-1,0"],
+    "surface-rho-one": ["surface", "--rho", "1"],
+    "surface-rho-minus-one": ["surface", "--rho", "-1"],
+    "gaussian-check-tight": ["gaussian-check", "--tol", "1e-12"],
     # the error paths
     "error-missing-point": ["joint", "--op", "fisher"],
     "error-non-finite-point": ["joint", "--op", "fisher", "--point",

@@ -179,7 +179,9 @@ def test_criterion_6_gaussian():
             if check.mode == "constrained":
                 assert check.statistic < 1e-6
         # the expectation statistic's one relation is <xy> - <x><y>
-        res, = gaussian._kind_gradients(params, "expectation", "limit", None)
+        statistic, _, readings = gaussian.STATISTICS["expectation"]
+        res, = core.gradients(statistic, astuple(params),
+                              dict(readings)["limit"])
         slope = gaussian.rho_component(res)
         assert slope == pytest.approx(params.sigma_x * params.sigma_y,
                                       abs=1e-4)

@@ -347,6 +347,34 @@ class TestNonFinitePoints:
             ConstraintSet.pin({0: bad})
 
 
+class TestPointShape:
+    """A point is a 1-D vector: a matrix's rows would share the steps, and
+    a row vector would sum its partials into one component."""
+
+    BAD = [np.ones((2, 2)), [[0.1, 0.2, 0.3]], 0.5, np.float64(0.5)]
+    IDS = ["2x2", "row", "float", "numpy-scalar"]
+
+    @pytest.mark.parametrize("at", BAD, ids=IDS)
+    @pytest.mark.parametrize("mode", [Constrained(), Limit((1.0,))])
+    def test_gradient_rejects(self, at, mode, eval_calls):
+        with pytest.raises(BadDimension, match=r"got shape \("):
+            gradient(lambda x: float(x.sum()), at, mode)
+        with pytest.raises(BadDimension, match=r"got shape \("):
+            gradients(lambda x: (float(x.sum()),), at, mode)
+        assert eval_calls == [0]
+
+    @pytest.mark.parametrize("at", BAD, ids=IDS)
+    def test_finite_difference_rejects(self, at, eval_calls):
+        with pytest.raises(BadDimension, match=r"got shape \("):
+            finite_difference(lambda x: float(x.sum()), at)
+        assert eval_calls == [0]
+
+    def test_names_the_shape(self):
+        with pytest.raises(BadDimension, match=r"got shape \(1, 3\)$"):
+            gradient(lambda x: float(x.sum()), [[0.1, 0.2, 0.3]],
+                     Constrained())
+
+
 class TestLimitGradient:
     DIVE_DIR = (0.0, 1.0 / SQRT2, 1.0 / SQRT2)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isograd import core
-from isograd.core import ConstraintSet, mode_named
+from isograd.core import Constrained, ConstraintSet, Limit
 from isograd.errors import (BadParams, InfeasiblePoint, NonFinite,
                             PreconditionError)
 from isograd.gaussian import (
@@ -18,7 +18,6 @@ from isograd.gaussian import (
     _conditional,
     _conditioned_mean,
     _joint,
-    _kind_gradients,
     _moments,
     _normal,
     analytic_rho_derivative,
@@ -31,12 +30,14 @@ from oracles import quadrature_expectation
 TWO_PI = 2.0 * math.pi
 
 
-def relation_result(params, relation, mode, probe=None):
-    """One relation's gradient: its kind's shared-probe call, indexed
-    through :data:`STATISTICS` as the check suite reads it."""
-    kind = RELATIONS[relation]
-    return _kind_gradients(params, kind, mode, probe)[
-        STATISTICS[kind][1].index(relation)]
+def relation_result(params, relation, mode, probe=()):
+    """One relation's gradient under the reading named ``mode``: its kind's
+    shared-probe call with that reading, indexed through
+    :data:`STATISTICS` as the check suite reads it."""
+    statistic, relations, readings = STATISTICS[RELATIONS[relation]]
+    results = core.gradients(statistic, (*probe, *astuple(params)),
+                             dict(readings)[mode])
+    return results[relations.index(relation)]
 
 
 class TestNormalParams:
@@ -167,7 +168,7 @@ class TestRelationGradients:
                                      ("P_x|y-P_x", True),
                                      ("<xy>-<x><y>", False)):
                 res = relation_result(p, rel, "constrained",
-                                         probe if needs_probe else None)
+                                      probe if needs_probe else ())
                 assert res.is_finite
                 assert len(res) == (6 if needs_probe else 4)
                 assert res.magnitude < 1e-7, rel
@@ -213,15 +214,10 @@ class TestRelationGradients:
 
     def test_contract_violations(self):
         tilted = NormalParams(0.3, -0.2, 1.1, 0.7, 0.2)
-        with pytest.raises(InfeasiblePoint):
-            _kind_gradients(tilted, "expectation", "constrained", None)
+        with pytest.raises(InfeasiblePoint, match="rho=0"):
+            relation_result(tilted, "<xy>-<x><y>", "constrained")
         with pytest.raises(PreconditionError, match="unknown relation"):
             analytic_rho_derivative(DEFAULT_PARAMS, "P_z-P_w", (0.0, 0.0))
-        with pytest.raises(PreconditionError):
-            _kind_gradients(DEFAULT_PARAMS, "expectation", "sideways", None)
-        with pytest.raises(PreconditionError, match="read constrained"):
-            _kind_gradients(DEFAULT_PARAMS, "expectation", "unconstrained",
-                            None)
 
     @pytest.mark.parametrize("relation", ["P_xy-P_xP_y", "P_x|y-P_x"])
     def test_pointwise_derivative_needs_a_finite_probe(self, relation):
@@ -269,6 +265,13 @@ class TestCheckSuite:
             check_suite(tol=tol)
         assert eval_calls == [0]
 
+    @pytest.mark.parametrize("tol", [True, "1e-6", 1j])
+    def test_tolerance_must_be_a_number(self, tol, eval_calls):
+        # True would otherwise read as a tolerance of 1.0
+        with pytest.raises(BadParams, match="tol must be a real number"):
+            check_suite(tol=tol)
+        assert eval_calls == [0]
+
     def test_refuses_nonzero_rho_before_any_probe(self, eval_calls):
         tilted = NormalParams(0.3, -0.2, 1.1, 0.7, 0.2)
         with pytest.raises(InfeasiblePoint,
@@ -280,17 +283,41 @@ class TestCheckSuite:
         DEFAULT_PARAMS, NormalParams(-0.7, 0.4, 0.6, 1.8, 0.0)])
     @pytest.mark.parametrize("mode", ["constrained", "limit"])
     def test_shared_results_match_each_relation_alone(self, params, mode):
-        _, relations = STATISTICS["pointwise"]
+        statistic, relations, readings = STATISTICS["pointwise"]
+        # each relation alone, under a reading built here from its name
+        reading = {"constrained": Constrained(ConstraintSet.pin({6: 0.0})),
+                   "limit": Limit((0.0,) * 6 + (1.0,))}[mode]
         for probe in probe_grid(params):
-            shared = _kind_gradients(params, "pointwise", mode, probe)
             z = np.array([*probe, *astuple(params)])
-            direction = np.zeros(7)
-            direction[6] = 1.0
-            reading = mode_named(mode, ConstraintSet.pin({6: 0.0}, "rho=0"),
-                                 direction)
+            shared = core.gradients(statistic, z, dict(readings)[mode])
             for k, relation in enumerate(relations):
                 alone = core.gradient(_pointwise_alone(relation), z, reading)
                 assert repr(shared[k]) == repr(alone), (relation, probe)
+
+    def test_builds_no_constraint_set(self, monkeypatch):
+        # the readings are built once, at import, not per probe
+        pins = []
+        real = ConstraintSet.pin
+
+        def counting(*args, **kwargs):
+            pins.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ConstraintSet, "pin", staticmethod(counting))
+        assert all(row.passed for row in check_suite())
+        assert pins == []
+
+    def test_readings_pin_and_approach_rho(self):
+        for kind, n in (("pointwise", 7), ("expectation", 5)):
+            _, _, readings = STATISTICS[kind]
+            assert [name for name, _ in readings] == ["constrained", "limit"]
+            (_, constrained), (_, limit) = readings
+            pin = constrained.constraints
+            assert pin.label == "rho=0" and len(pin) == 1
+            # the tangent basis is every axis but rho's
+            assert pin.basis([0.5] * (n - 1) + [0.0]) == tuple(
+                tuple(float(j == i) for j in range(n)) for i in range(n - 1))
+            assert limit == Limit((0.0,) * (n - 1) + (1.0,))
 
     def test_probe_grid_shape(self):
         probes = probe_grid(DEFAULT_PARAMS)

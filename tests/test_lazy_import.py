@@ -13,6 +13,11 @@ and ``treeopt.minimize_scalar``; the benchmark's tracer wraps those names,
 so these tests pin that each is still a module attribute reached on every
 polish and still returns a result with its ``nfev``.  A fresh interpreter
 that cannot import SciPy prints what every polishing command prints.
+
+Rules of the source are read off every module's syntax tree: no module
+imports SciPy, no module measures a vector with a BLAS kernel (``.dot`` or
+``linalg.norm``), and only ``core`` and ``jointbinary`` turn a mode name
+into a mode.
 """
 
 import ast
@@ -158,6 +163,63 @@ LOADS = {
 }
 
 
+def _source_trees() -> dict:
+    """Module name -> syntax tree, for every module of the package."""
+    package = Path(isograd.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text())
+            for path in package.glob("*.py")}
+
+
+def _importers(root: str) -> set:
+    """The modules that import ``root`` or a submodule of it, at any
+    scope."""
+    importers = set()
+    for name, tree in _source_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module]
+            else:
+                continue
+            if any(r.partition(".")[0] == root for r in roots):
+                importers.add(name)
+    return importers
+
+
+def _blas_vector_kernels(tree) -> list:
+    """Lines that call a ``.dot`` method or reach ``linalg.norm``, by
+    attribute or by import."""
+    lines = []
+    for node in ast.walk(tree):
+        dot = (isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "dot")
+        norm = (isinstance(node, ast.Attribute) and node.attr == "norm"
+                and (isinstance(node.value, ast.Name)
+                     and node.value.id == "linalg"
+                     or isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "linalg"))
+        imported = (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").endswith("linalg")
+                    and any(alias.name == "norm" for alias in node.names))
+        if dot or norm or imported:
+            lines.append(node.lineno)
+    return lines
+
+
+def _references(tree, name: str) -> bool:
+    """Whether the tree names ``name``: defines, imports or reads it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (
+                    node.name, node.asname)
+                or isinstance(node, ast.FunctionDef) and node.name == name):
+            return True
+    return False
+
+
 class TestLazyDispatch:
     @pytest.mark.parametrize("argv", LOADS, ids=" ".join)
     def test_command_loads_its_modules_only(self, argv):
@@ -172,27 +234,36 @@ class TestLazyDispatch:
         assert probe["numpy"] is False
 
     def test_numpy_is_imported_only_where_a_mesh_or_probe_needs_it(self):
-        package = Path(isograd.__file__).resolve().parent
-        trees = {path.stem: ast.parse(path.read_text())
-                 for path in package.glob("*.py")}
-        assert NUMPY_MODULES < set(trees)
-        importers = set()
-        for name, tree in trees.items():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    roots = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and not node.level:
-                    roots = [node.module]
-                else:
-                    continue
-                if any(r.partition(".")[0] == "numpy" for r in roots):
-                    importers.add(name)
+        assert NUMPY_MODULES < set(_source_trees())
+        importers = _importers("numpy")
         assert importers <= NUMPY_MODULES, sorted(importers - NUMPY_MODULES)
 
     def test_parser_constants_are_the_modules(self):
         assert cli.MODES == core.MODES
         assert cli.DEFAULT_GRID == treeopt.DEFAULT_GRID
         assert cli.DISCREPANCY_GRID == treeopt.DISCREPANCY_GRID
+
+
+class TestSourceRules:
+    """Rules read off the syntax tree of every module of the imported
+    package, so that a new module is checked too."""
+
+    def test_no_module_imports_scipy(self):
+        assert _importers("scipy") == set()
+
+    def test_no_blas_kernel_measures_a_vector(self):
+        # norms and dot products are math.hypot and core._dot, added in
+        # order, so no BLAS or SIMD kernel picks their last digit
+        found = {name: lines for name, tree in _source_trees().items()
+                 if (lines := _blas_vector_kernels(tree))}
+        assert found == {}
+
+    def test_only_core_and_jointbinary_read_mode_names(self):
+        # core parses a mode name; jointbinary's string API takes one from
+        # --mode and the benchmark; every other module holds mode values
+        readers = {name for name, tree in _source_trees().items()
+                   if _references(tree, "mode_named")}
+        assert readers == {"core", "jointbinary"}
 
 
 class TestTracedNames:

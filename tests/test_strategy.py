@@ -243,6 +243,35 @@ class TestTablePlumbing:
         with pytest.raises(PreconditionError, match="at least 1"):
             table1("correlated", n_samples=n_samples)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"n_samples": 2.5}, "n_samples must be an integer, got 2.5"),
+        # True would otherwise run one sample and report n_samples: True
+        ({"n_samples": True}, "n_samples must be an integer, got True"),
+    ])
+    def test_refuses_what_the_cli_refuses(self, kwargs, message, eval_calls):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            table1("correlated", **kwargs)
+        assert eval_calls == [0]
+
+    @pytest.mark.parametrize("args, message", [
+        (("nope", 1, 1), "unknown case 'nope'"),
+        (("correlated", -1, 1), "n must be at least 0, got -1"),
+        (("correlated", 1, -1), "seed must be at least 0, got -1"),
+        (("independent", 1, 1.5), "seed must be an integer, got 1.5"),
+    ])
+    def test_sample_points_checks_its_arguments(self, args, message):
+        with pytest.raises(PreconditionError, match=message):
+            sample_points(*args)
+
+    def test_integer_arguments_are_stored_as_ints(self):
+        report = table1("independent", n_samples=np.int64(1),
+                        seed=np.uint8(3))
+        assert (report.n_samples, report.seed) == (1, 3)
+        assert type(report.n_samples) is int and type(report.seed) is int
+
     def test_seeded_reproducibility(self):
         a = table1("correlated", n_samples=3, seed=7)
         b = table1("correlated", n_samples=3, seed=7)
