@@ -29,10 +29,10 @@ The shared formulas live here once: ``xlogx`` for every entropy, the
 tangent basis of a constraint set, the central-difference loop, and one
 Euclidean norm, ``math.hypot``, for the basis and every gradient.  Probes
 reach ``f`` as numpy arrays; the basis and every result are float tuples,
-so no BLAS or SIMD kernel picks their last digit.  So do the two searches
-the optimizers polish with, Nelder-Mead and bounded Brent, ported step for
-step from SciPy so that their results are bitwise SciPy's: ``import
-isograd.core`` loads numpy and the standard library only.
+so no BLAS or SIMD kernel picks their last digit.  The two searches the
+optimizers polish with, Nelder-Mead and bounded Brent, run on Python floats
+and are ported step for step from SciPy so that their results are bitwise
+SciPy's: ``import isograd.core`` loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .errors import (
     NotNormalized,
     OutOfRange,
     PreconditionError,
+    require_real,
 )
 
 # normalization is checked an order looser than feasibility on purpose:
@@ -110,7 +111,7 @@ def require_finite(values: Sequence[float]) -> None:
 
 def resolve(point: Sequence[float]) -> ProbVector:
     """Validate full outcome probabilities and resolve the last coordinate."""
-    vals = [float(v) for v in point]
+    vals = [require_real("probability", v) for v in point]
     if len(vals) < 2:
         raise BadDimension(f"need at least 2 outcomes, got {len(vals)}")
     require_finite(vals)
@@ -232,9 +233,11 @@ class Limit:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        require_finite(self.direction)
-        if (len(self.direction) == 0
-                or abs(math.hypot(*self.direction) - 1.0) > 1e-9):
+        direction = tuple(require_real("direction component", v)
+                          for v in self.direction)
+        object.__setattr__(self, "direction", direction)
+        require_finite(direction)
+        if len(direction) == 0 or abs(math.hypot(*direction) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
 
 
@@ -489,10 +492,13 @@ def entropy(p) -> float:
     return entropy_of_cells(probs)
 
 
-def entropy_of_free(free: np.ndarray) -> float:
-    """Entropy as a function of free coordinates (last coordinate resolved)."""
-    free = np.asarray(free, dtype=float)
-    return entropy_of_cells((*free, 1.0 - free.sum()))
+def entropy_of_free(free: Sequence[float]) -> float:
+    """Entropy as a function of free coordinates (last coordinate resolved);
+    NaN off the simplex."""
+    total = 0.0
+    for v in free:
+        total += v
+    return entropy_of_cells((*free, 1.0 - total))
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +509,26 @@ class Search(NamedTuple):
     """Where a polish search stopped: ``fun`` at ``x`` after ``nit``
     iterations and ``nfev`` evaluations."""
 
-    x: Any
+    x: Any   # a float tuple from minimize, a float from minimize_scalar
     fun: float
     nit: int
     nfev: int
 
 
-def _by_value(sim: np.ndarray, fsim: np.ndarray):
-    """The simplex and its values, best first."""
-    order = np.argsort(fsim)
-    return np.take(sim, order, 0), np.take(fsim, order, 0)
+def _by_value(sim: list, fsim: list):
+    """The simplex and its values, best first, in the order numpy's
+    ``argsort`` gives SciPy (ties and NaN included)."""
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
+def _toward(c: float, xbar: tuple, worst: tuple) -> tuple:
+    """c xbar + (1 - c) worst: bitwise SciPy's moves for c = 2, 3, 1.5, 0.5,
+    as 1 - c is exact and adding -x rounds as subtracting x."""
+    return tuple(c * a + (1.0 - c) * b for a, b in zip(xbar, worst))
+
+
+def minimize(fun: Callable[[tuple], float], x0, *, xatol: float,
              fatol: float, maxiter: int) -> Search:
     """Nelder-Mead (Nelder & Mead 1965) from ``x0``, step for step SciPy
     1.17's ``minimize(method="Nelder-Mead")`` with its standard
@@ -523,49 +536,57 @@ def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
 
     The first simplex moves one coordinate of ``x0`` each by 5 % (to
     0.00025 from 0).  The search stops when every vertex is within ``xatol``
-    of the best and every value within ``fatol``, or at ``maxiter``
-    iterations.  ``fun`` gets a copy of each probe.
+    of the best and every value within ``fatol`` (a NaN distance stops
+    nothing, as in ``np.max``), or at ``maxiter`` iterations.  Vertices are
+    float tuples, ``fun`` gets each probe as one, and the centroid adds them
+    left to right, as numpy reduces the rows.
     """
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(np.copy(x))
+        return float(fun(x))
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = tuple(float(v) for v in x0)
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim])
+    sim = [x0] + [x0[:k] + ((1.05 * x0[k] if x0[k] != 0 else 0.00025),)
+                  + x0[k + 1:] for k in range(n)]
+    fsim = [f(v) for v in sim]
     sim, fsim = _by_value(sim, fsim)   # SciPy sorts the first simplex twice
     nit = 1
     while True:
         sim, fsim = _by_value(sim, fsim)
-        if nit >= maxiter or (np.abs(sim[1:] - sim[0]).max() <= xatol
-                              and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-            return Search(sim[0], fsim.min(), nit, nfev)
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2 * xbar - sim[-1]
+        best, worst = sim[0], sim[-1]
+        if nit >= maxiter or (
+                all(abs(a - b) <= xatol for v in sim[1:]
+                    for a, b in zip(v, best))
+                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
+            return Search(best, float(np.min(fsim)), nit, nfev)
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = tuple(a + b for a, b in zip(xbar, v))
+        xbar = tuple(a / n for a in xbar)
+        xr = _toward(2.0, xbar, worst)
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = _toward(3.0, xbar, worst)
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:   # contract outside, towards the reflection
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = _toward(1.5, xbar, worst)
                 fxc = f(xc)
                 shrink = not fxc <= fxr
             else:                # contract inside
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = _toward(0.5, xbar, worst)
                 fxc = f(xc)
                 shrink = not fxc < fsim[-1]
             if shrink:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                sim[1:] = [tuple(a + 0.5 * (b - a) for a, b in zip(best, v))
+                           for v in sim[1:]]
                 fsim[1:] = [f(v) for v in sim[1:]]
             else:
                 sim[-1], fsim[-1] = xc, fxc

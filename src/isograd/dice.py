@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (ConstraintSet, ProbVector, entropy, entropy_of_free,
                    minimize, require_finite, resolve, simplex_volume, xlogx)
-from .errors import BadDimension, InfeasiblePoint
+from .errors import BadDimension, InfeasiblePoint, require_real
 from .reports import OptimumReport
 
 #: Grid points per unit of each face coordinate in method 2's search.
@@ -44,7 +44,7 @@ class DieSpace:
 
     def face_point(self, params) -> ProbVector:
         """Embed free face parameters (length sides-1) as a 4-outcome point."""
-        params = [float(v) for v in params]
+        params = [require_real("face parameter", v) for v in params]
         if len(params) != self.sides - 1:
             raise BadDimension(
                 f"{self.label} face takes {self.sides - 1} parameters")
@@ -118,20 +118,20 @@ def _entropy_on_grid(sides: int, resolution: int):
     return params, float(table[best].sum())
 
 
-def _entropy_of_params(params: np.ndarray) -> float:
-    if np.any(params < 0.0) or params.sum() > 1.0:
-        return -np.inf
-    return entropy_of_free(params)
+def _entropy_of_params(params) -> float:
+    """Face entropy at free parameters; -inf off the face, where a cell is
+    negative and the entropy NaN."""
+    value = entropy_of_free(params)
+    return -math.inf if math.isnan(value) else value
 
 
 def _polish(params, value):
     """Nelder-Mead refinement; keeps the grid point unless strictly better."""
-    x0 = np.asarray(params, dtype=float)
-    res = minimize(lambda x: -_entropy_of_params(x), x0, xatol=1e-10,
+    res = minimize(lambda x: -_entropy_of_params(x), params, xatol=1e-10,
                    fatol=1e-13, maxiter=20000)
     if math.isfinite(res.fun) and -res.fun > value:
-        return tuple(float(v) for v in res.x), float(-res.fun), int(res.nit)
-    return tuple(float(v) for v in params), float(value), 0
+        return res.x, -res.fun, res.nit
+    return params, value, 0
 
 
 def maximize_per_space() -> list[OptimumReport]:

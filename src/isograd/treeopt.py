@@ -19,11 +19,14 @@ cache-sized row blocks, each trimmed to the columns inside the feasible band
 at its rows, and a block is skipped when an upper bound on the payoff of its
 rows falls strictly below the best node found so far (for rho <= 0 only the
 first block, which holds the corner, is evaluated); :func:`_grid_maximum`
-says why neither changes a bit of the result.
+says why neither changes a bit of the result.  The formulas are written once
+for float arrays (the mesh) and Python floats (the refinement and the
+reported point), with the same roundings: :func:`_lib` picks the calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .errors import (
     InfeasiblePoint,
     NonFinite,
     OutOfRange,
+    require_real,
 )
 from .reports import OptimumReport
 
@@ -67,11 +71,24 @@ _ROUNDING_SLACK = 1e-12
 # surface geometry
 
 
-def _validate_rho(rho: float) -> float:
-    rho = float(rho)
+def _validate_rho(rho) -> float:
+    rho = require_real("rho", rho)
     if not -1.0 <= rho <= 1.0:
         raise OutOfRange(f"correlation must lie in [-1, 1], got {rho!r}")
     return rho
+
+
+class _Floats:
+    """numpy's sqrt, clip and where for Python floats, rounding and comparing
+    alike (NaN aside; clip tests as np.clip does, so -0.0 clips to 0.0)."""
+    sqrt = staticmethod(math.sqrt)
+    clip = staticmethod(lambda v, lo, hi: min(hi, max(lo, v)))
+    where = staticmethod(lambda ok, v, other: v if ok else other)
+
+
+def _lib(p, q=0.0):
+    """:class:`_Floats` when ``p`` and ``q`` are both floats, else numpy."""
+    return _Floats if isinstance(p, float) and isinstance(q, float) else np
 
 
 def _branch_raw(p, q, rho: float):
@@ -80,11 +97,10 @@ def _branch_raw(p, q, rho: float):
     ``p`` must stay inside (0, 1): the discriminant carries a 1/p and the
     denominator vanishes only at p = 1 (for |rho| = 1).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     rho2 = rho * rho
     disc = rho2 + 4.0 * q * (1.0 - q) * (1.0 - p) / p
-    num = rho2 - 2.0 * q * (1.0 - p) * (rho2 - 1.0) + rho * np.sqrt(disc)
+    root = _lib(p, q).sqrt(disc)
+    num = rho2 - 2.0 * q * (1.0 - p) * (rho2 - 1.0) + rho * root
     den = 2.0 * (1.0 + p * (rho2 - 1.0))
     return num / den
 
@@ -101,9 +117,9 @@ def _surface_clamped(p, q, rho: float):
     rho != 0 the root grows like |rho| sqrt(q(1 - q)/p) as p -> 0, so it
     leaves [0, 1] there and :func:`_mask` removes those nodes.
     """
-    p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0 - _P_EDGE)
-    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-    return _branch_raw(p, q, rho)
+    xp = _lib(p, q)
+    return _branch_raw(xp.clip(p, _P_EDGE, 1.0 - _P_EDGE),
+                       xp.clip(q, 0.0, 1.0), rho)
 
 
 def _bound_clamped(p, rho: float):
@@ -115,14 +131,14 @@ def _bound_clamped(p, rho: float):
     with ``bound = 1 / (1 + p (1 - rho^2)/rho^2)``.  On the bound itself the
     surface touches r = 1 (rho > 0) or r = 0 (rho < 0).
     """
-    p = np.clip(np.asarray(p, dtype=float), _P_EDGE, 1.0)
+    p = _lib(p).clip(p, _P_EDGE, 1.0)
     rho2 = rho * rho
     if rho > 0.0:
         return p / (p + rho2 / (1.0 - rho2))
     return 1.0 / (1.0 + p * (1.0 - rho2) / rho2)
 
 
-def _mask(p: np.ndarray, q: np.ndarray, r, rho: float) -> np.ndarray:
+def _mask(p, q, r, rho: float):
     """Boolean mask of the (p, q) pairs whose surface value ``r`` is
     permissible.
 
@@ -228,24 +244,23 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
     F = _unconstrained_discrepancy(P, Q, R)
     flat = int(np.argmax(F))  # first maximum in C order: lexicographic point
     pi, qi, ri = np.unravel_index(flat, F.shape)
-    point = np.array([g[pi], g[qi], g[ri]])
+    point = (float(g[pi]), float(g[qi]), float(g[ri]))
     value = float(F[pi, qi, ri])
 
-    def negated(z: np.ndarray) -> float:
-        p, q, r = np.clip(z, 0.0, 1.0)
-        return -discrepancy_payoff(p, q, r)
+    def clipped(z: tuple) -> tuple:
+        return tuple(_Floats.clip(c, 0.0, 1.0) for c in z)
 
-    res = minimize(negated, point, xatol=1e-10, fatol=1e-13, maxiter=2000)
+    res = minimize(lambda z: -discrepancy_payoff(*clipped(z)), point,
+                   xatol=1e-10, fatol=1e-13, maxiter=2000)
     if -res.fun > value + 1e-12:
-        point = np.clip(res.x, 0.0, 1.0)
-        value = float(-res.fun)
-    boundary = bool(np.any(point <= 1e-9) or np.any(point >= 1.0 - 1e-9))
+        point, value = clipped(res.x), -res.fun
+    boundary = any(c <= 1e-9 or c >= 1.0 - 1e-9 for c in point)
     return OptimumReport(
         label="unconstrained",
-        point=tuple(float(c) for c in point),
+        point=point,
         value=value,
         mode="discrepancy",
-        diagnostics={"grid": DISCREPANCY_GRID, "iterations": int(res.nit),
+        diagnostics={"grid": DISCREPANCY_GRID, "iterations": res.nit,
                      "boundary": boundary},
     )
 
@@ -274,17 +289,32 @@ def slice_payoff(p, q, rho: float):
     off-region; the check runs on the arrays as given, so a sparse mesh
     pays for its row and column vectors, not for every node.
     """
-    rho = _validate_rho(rho)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+    rho, xp = _validate_rho(rho), _lib(p, q)
+    if xp is np:
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if not (math.isfinite(p) and math.isfinite(q) if xp is _Floats
+            else np.isfinite(p).all() and np.isfinite(q).all()):
         raise NonFinite("slice payoff needs finite p and q")
     r = _surface_clamped(p, q, rho)
     value = 2.0 * p + 3.0 * q - 3.0 * p * q - p * r
-    out = np.where(_mask(p, q, r, rho), value, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = xp.where(_mask(p, q, r, rho), value, 0.0)
+    return out if getattr(out, "ndim", 0) else float(out)
+
+
+def _row_bounds(g: np.ndarray, rho: float):
+    """Row i's band (columns first_i to stop_i - 1) and payoff bound ub_i."""
+    n = g.size
+    first, stop = np.zeros(n, dtype=int), np.full(n, n)
+    slope = 3.0 * (1.0 - g)           # from r >= -RANGE_TOL
+    if rho > 0.0:
+        stop = np.searchsorted(g, _bound_clamped(g, rho) + RANGE_TOL,
+                               side="right")
+        slope = np.maximum(0.0, 3.0 - 4.0 * g)   # from r >= q - RANGE_TOL
+    elif rho < 0.0:
+        first = np.searchsorted(g, _bound_clamped(g, rho) - RANGE_TOL,
+                                side="left")
+    ub = 2.0 * g + slope * g[stop - 1] + g * RANGE_TOL + _ROUNDING_SLACK
+    return first, stop, ub
 
 
 def _grid_maximum(g: np.ndarray, rho: float) -> tuple[float, int, int]:
@@ -301,15 +331,23 @@ def _grid_maximum(g: np.ndarray, rho: float) -> tuple[float, int, int]:
       RANGE_TOL for rho < 0) at one of its rows or more; each node left out
       fails that test at its own row, so its payoff is 0.  The maximum is
       positive (at least p at q = 0 for rho > 0, 3 at (0, 1) for rho < 0).
-    - Row bound.  Let stop_i be the end of row i's band (n for rho <= 0).  A
-      node of row i that passes the mask has r >= -RANGE_TOL (at rho = 0,
-      where the mask does not test r, r = q >= 0) and q <= g[stop_i - 1],
-      so its exact payoff 2p + 3q(1 - p) - pr is at most ``2p + 3(1 - p)
-      g[stop_i - 1] + p RANGE_TOL``, and a masked node reads 0, below
-      that positive bound.  The float payoff and the float bound each take
-      a handful of roundings of terms no larger than 5, so each is off by
-      less than 1e-14, and adding :data:`_ROUNDING_SLACK` = 1e-12 gives a
-      bound ``ub_i`` that every float value of row i stays strictly below.  A block whose
+    - Row bound (:func:`_row_bounds`).  Let stop_i be the end of row i's
+      band (n for rho <= 0).  A node of row i that passes the mask has q <=
+      q_i = g[stop_i - 1] and r >= -RANGE_TOL (at rho = 0, where the mask
+      does not test r, r = q >= 0), so its exact payoff 2p + 3q(1 - p) - pr
+      is at most ``2p + 3(1 - p) q_i + p RANGE_TOL``, and a masked node reads
+      0, below that positive bound.  For rho > 0 the bound is ``2p + max(0,
+      3 - 4p) q_i + p RANGE_TOL``, lower by p q_i: on rows p = 0 and 1 the
+      payoff is 3q and 2 - r, and between them r >= q - RANGE_TOL, since the
+      covariance p(1 - p)(r - q) has rho's sign (the squared correlation
+      equation is a quadratic in r, convex and <= 0 at r = q, so its upper
+      root is >= q; the float root is within 1e-11 of it, its denominator
+      2(1 - p(1 - rho^2)) being over 2/(n - 1), and min(r - q) over the
+      passing interior nodes of grids 11-801 is -5.2e-15).  The float payoff
+      and the float bound each take a handful of roundings of terms no
+      larger than 5, so each is off by less than 1e-14, and adding
+      :data:`_ROUNDING_SLACK` = 1e-12 gives a bound ``ub_i`` that every
+      float value of row i stays strictly below.  A block whose
       largest ``ub_i`` is below the best value so far holds no node that
       could win or tie, so it is skipped.  For rho <= 0 the first block
       holds the corner (0, 1), which reads 3, while ub_i = 3 - p_i(1 -
@@ -319,15 +357,7 @@ def _grid_maximum(g: np.ndarray, rho: float) -> tuple[float, int, int]:
     the whole mesh, so its value is bitwise the same.
     """
     n = g.size
-    first, stop = np.zeros(n, dtype=int), np.full(n, n)
-    if rho > 0.0:
-        stop = np.searchsorted(g, _bound_clamped(g, rho) + RANGE_TOL,
-                               side="right")
-    elif rho < 0.0:
-        first = np.searchsorted(g, _bound_clamped(g, rho) - RANGE_TOL,
-                                side="left")
-    ub = (2.0 * g + 3.0 * (1.0 - g) * g[stop - 1] + g * RANGE_TOL
-          + _ROUNDING_SLACK)
+    first, stop, ub = _row_bounds(g, rho)
     P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
     rows = max(1, _BLOCK_NODES // n)
     best = (-np.inf, 0, 0)
@@ -385,14 +415,13 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
     candidates = [(grid_value, float(g[gi]), float(g[gj]))]
     if rho > 0.0:
         res = minimize_scalar(
-            lambda p: -float(slice_payoff(p, float(_bound_clamped(p, rho)), rho)),
+            lambda p: -slice_payoff(p, _bound_clamped(p, rho), rho),
             bounds=(0.0, 1.0), xatol=1e-12, maxiter=500)
-        iterations = int(res.nfev)
-        pb = float(res.x)
-        candidates.append((float(-res.fun), pb, float(_bound_clamped(pb, rho))))
+        iterations = res.nfev
+        candidates.append((-res.fun, res.x, _bound_clamped(res.x, rho)))
     else:
         iterations = 0
-        candidates.append((float(slice_payoff(0.0, 1.0, rho)), 0.0, 1.0))
+        candidates.append((slice_payoff(0.0, 1.0, rho), 0.0, 1.0))
 
     value, p, q = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
     disagreement = abs(value - grid_value)
@@ -401,11 +430,11 @@ def maximize_payoff_on_slice(rho: float, grid: int = DEFAULT_GRID) -> OptimumRep
             f"slice rho={rho:+g}: grid optimum {grid_value:.6f} and refined "
             f"optimum {value:.6f} disagree by {disagreement:.2e} "
             f"(> {_DISAGREEMENT_TOL:g}); increase the grid resolution")
-    r = float(np.clip(_surface_clamped(p, q, rho), 0.0, 1.0))
-    bound_gap = (abs(q - float(_bound_clamped(p, rho)))
-                 if 0.0 < abs(rho) < 1.0 else np.inf)
-    boundary = bool(min(p, 1.0 - p, q, 1.0 - q, r, 1.0 - r) <= 1e-6
-                    or bound_gap <= 1e-6)
+    r = _Floats.clip(_surface_clamped(p, q, rho), 0.0, 1.0)
+    bound_gap = (abs(q - _bound_clamped(p, rho))
+                 if 0.0 < abs(rho) < 1.0 else math.inf)
+    boundary = (min(p, 1.0 - p, q, 1.0 - q, r, 1.0 - r) <= 1e-6
+                or bound_gap <= 1e-6)
     return OptimumReport(
         label=f"rho={rho:+g}", point=(p, q, r), value=value, mode="slice",
         diagnostics={"rho": rho, "grid": grid, "iterations": iterations,

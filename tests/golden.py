@@ -83,6 +83,10 @@ CASES: dict[str, list[str]] = {
     "surface-rho-one": ["surface", "--rho", "1"],
     "surface-rho-minus-one": ["surface", "--rho", "-1"],
     "gaussian-check-tight": ["gaussian-check", "--tol", "1e-12"],
+    # slices whose row bound decides which mesh rows run
+    "tree-opt-fine": ["tree-opt", "--rho", "0.13", "--grid", "801"],
+    "tree-opt-slice-062": ["tree-opt", "--rho", "0.62"],
+    "tree-opt-sweep-fine": ["tree-opt", "--sweep", "--grid", "801"],
     # the error paths
     "error-missing-point": ["joint", "--op", "fisher"],
     "error-non-finite-point": ["joint", "--op", "fisher", "--point",

@@ -29,6 +29,7 @@ from isograd.core import (
 )
 from isograd.errors import (
     BadDimension,
+    BadParams,
     DomainError,
     InfeasiblePoint,
     NonFinite,
@@ -83,6 +84,16 @@ class TestResolve:
         point[slot] = bad
         with pytest.raises(NonFinite, match=repr(bad)):
             resolve(point)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, 0.5j])
+    def test_non_real_cells_rejected(self, bad):
+        # float() would read "0.5" and True as numbers
+        with pytest.raises(BadParams, match="probability must be a real"):
+            resolve((bad, 0.0, 0.0, 0.5))
+
+    def test_numpy_and_integer_cells_are_real(self):
+        assert resolve((np.float64(0.5), 0, np.int64(0), 0.5)).probs == \
+            (0.5, 0.0, 0.0, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_prob_vector_rejects_non_finite(self, bad):
@@ -378,6 +389,17 @@ class TestPointShape:
 class TestLimitGradient:
     DIVE_DIR = (0.0, 1.0 / SQRT2, 1.0 / SQRT2)
 
+    @pytest.mark.parametrize("bad", ["ab", (1.0, "x"), (True,), (None, 1.0)],
+                             ids=repr)
+    def test_direction_components_must_be_real(self, bad):
+        with pytest.raises(BadParams, match="direction component"):
+            Limit(bad)
+
+    def test_direction_is_stored_as_floats(self):
+        mode = Limit([np.float64(0.6), 0.8])
+        assert mode.direction == (0.6, 0.8)
+        assert all(type(v) is float for v in mode.direction)
+
     def test_entropy_ladder_diverges(self):
         res = gradient(joint_entropy, resolve((0.5, 0.0, 0.0, 0.5)),
                        Limit(self.DIVE_DIR))
@@ -652,3 +674,28 @@ class TestGradientResult:
     def test_undefined_magnitude_is_nan(self):
         r = GradientResult(kind="undefined")
         assert math.isnan(r.magnitude)
+
+
+class TestPolishSearches:
+    @pytest.mark.parametrize("x0", [np.array([0.3, 0.2]), [0, 0.5, 0.1]],
+                             ids=["array", "list"])
+    def test_nelder_mead_runs_on_float_tuples(self, x0):
+        seen = []
+
+        def fun(x):
+            seen.append(x)
+            return math.fsum((v - 0.25) ** 2 for v in x)
+
+        res = core.minimize(fun, x0, xatol=1e-10, fatol=1e-13, maxiter=500)
+        assert seen and all(type(x) is tuple and len(x) == len(x0)
+                            and all(type(v) is float for v in x)
+                            for x in seen)
+        assert type(res.x) is tuple and all(type(v) is float for v in res.x)
+        assert type(res.fun) is float
+        assert res.fun == pytest.approx(0.0, abs=1e-12)
+
+    def test_nan_value_is_reported_as_numpy_min_would(self):
+        # a NaN vertex sorts last and makes the reported minimum NaN
+        res = core.minimize(lambda x: math.nan if x[0] > 1.0 else x[0] ** 2,
+                            (1.0,), xatol=1e-10, fatol=1e-13, maxiter=1)
+        assert res.nit == 1 and res.x == (1.0,) and math.isnan(res.fun)

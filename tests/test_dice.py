@@ -26,7 +26,7 @@ from isograd.dice import (
     maximize_unconstrained,
     objective_F,
 )
-from isograd.errors import InfeasiblePoint, NonFinite
+from isograd.errors import BadParams, InfeasiblePoint, NonFinite
 from oracles import marginal_entropy_gradient
 
 LOG2 = math.log(2.0)
@@ -52,6 +52,11 @@ class TestSpaces:
         with pytest.raises(NonFinite, match=repr(bad)):
             TRIANGLE.face_point(params)
 
+
+    @pytest.mark.parametrize("bad", ["0.2", True, None])
+    def test_face_point_rejects_non_real(self, bad):
+        with pytest.raises(BadParams, match="face parameter"):
+            TRIANGLE.face_point([0.2, bad])
 
     def test_face_point_rejects_opposite_infinities(self):
         # the two would meet in math.fsum, which raises a bare ValueError

@@ -14,6 +14,7 @@ from isograd.core import (
     mode_named,
 )
 from isograd.errors import (
+    BadParams,
     DegenerateMarginal,
     DomainError,
     EmptyData,
@@ -63,6 +64,12 @@ class TestJointPoint:
             JointPoint(0.4, 0.4, 0.4, 0.4)
         with pytest.raises(OutOfRange):
             JointPoint(1.2, -0.2, 0.0, 0.0)
+
+    @pytest.mark.parametrize("cells", [("0.5", 0, 0, 0.5), (True, 0, 0, 0)],
+                             ids=repr)
+    def test_non_real_cells_rejected(self, cells):
+        with pytest.raises(BadParams, match="must be a real number"):
+            JointPoint(*cells)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cell", range(4))

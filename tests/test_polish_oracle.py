@@ -8,6 +8,8 @@ the package runs, and on runs that reach an infinite region, stop at
 module skips without it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,7 @@ class TestPackagePolishes:
 
 
 def rosenbrock(x):
+    x = np.asarray(x)   # SciPy passes arrays, core.minimize float tuples
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
                         + (1.0 - x[:-1]) ** 2))
 
@@ -107,6 +110,13 @@ class TestNelderMead:
 
         res = nelder_mead(fenced, x0, **TIGHT)
         assert any(seen) and res.x[0] <= 0.3
+
+    @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.25, 0.0)], ids=str)
+    def test_nan_off_a_region(self, x0):
+        # NaN sorts last and keeps the stopping test from passing
+        res = nelder_mead(lambda x: math.nan if x[0] > 0.3 else rosenbrock(x),
+                          x0, **TIGHT)
+        assert res.x[0] <= 0.3
 
     @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.5, 0.5, 0.5)], ids=str)
     def test_plateaus(self, x0):

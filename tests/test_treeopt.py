@@ -224,6 +224,20 @@ class TestCorrelationSlice:
         with pytest.raises(OutOfRange):
             treeopt.surface_points(-1.5)
 
+    @pytest.mark.parametrize("rho", [True, "0.5", None, "abc"], ids=repr)
+    def test_rho_must_be_a_real_number(self, rho):
+        for call in (lambda: treeopt.maximize_payoff_on_slice(rho),
+                     lambda: treeopt.surface_points(rho),
+                     lambda: treeopt.slice_payoff(0.3, 0.5, rho)):
+            with pytest.raises(BadParams, match="rho must be a real number"):
+                call()
+
+    def test_numpy_and_integer_rho_are_real(self):
+        assert treeopt.slice_payoff(0.3, 0.5, np.float64(0.5)) == \
+            treeopt.slice_payoff(0.3, 0.5, 0.5)
+        assert treeopt.slice_payoff(0.3, 0.5, 0) == \
+            treeopt.slice_payoff(0.3, 0.5, 0.0)
+
 
 class TestSurfacePoints:
     def test_pinned_lines(self):
@@ -364,6 +378,29 @@ class TestSlicePayoff:
         assert math.isfinite(value)
         edge = treeopt.slice_payoff(0.5, min(max(q, 0.0), 1.0), 0.0)
         assert value == pytest.approx(edge, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [1e-9, 0.13, 0.25, 0.5, 0.999, -0.3,
+                                     -0.999])
+    def test_scalar_call_is_the_mesh_value_bitwise(self, rho):
+        # the float path and the array path of the one formula: every node
+        # of a mesh with its p = 0 and p = 1 rows (p clipped for the root),
+        # and points on the band edge, inside its RANGE_TOL margin and just
+        # past it (masked)
+        g = np.linspace(0.0, 1.0, 41)
+        edge = treeopt._bound_clamped(g, rho)
+        P = np.concatenate([np.repeat(g, g.size), g, g, g])
+        Q = np.concatenate([np.tile(g, g.size)] + [
+            edge + t * treeopt.RANGE_TOL * np.sign(rho) for t in (0, 0.5, 2)])
+        V = treeopt.slice_payoff(P, Q, rho)
+        scalar = [treeopt.slice_payoff(float(p), float(q), rho)
+                  for p, q in zip(P, Q)]
+        assert all(type(v) is float for v in scalar)
+        assert [v.hex() for v in scalar] == [float(v).hex() for v in V]
+        assert [treeopt._bound_clamped(float(p), rho).hex() for p in g] == \
+            [float(b).hex() for b in edge]
+        masked = ~_region(P, Q, rho)
+        assert masked.any() and (V[~masked] > 0.0).any()
+        assert (V[masked] == 0.0).all()
 
     @pytest.mark.parametrize("rho", [0.75, 0.5, 0.13, 0.0, -0.25, -0.75])
     def test_mesh_bitwise_unchanged_by_q_clip(self, rho):
@@ -532,6 +569,35 @@ class TestGridMaximum:
             assert treeopt._grid_maximum(g, rho) == (3.0, 0, grid - 1)
             assert len(blocks) == 1, f"rho={rho}: {len(blocks)} blocks"
             assert blocks[0][0, 0] == 0.0, f"rho={rho}"
+
+    @pytest.mark.parametrize("grid, every", [(11, 1), (51, 1), (401, 7),
+                                             (801, 17)])
+    def test_row_bound_is_sound(self, grid, every):
+        # every row maximum of the whole mesh stays below the row's bound,
+        # and every node outside the row's band reads 0; for rho > 0 the
+        # bound rests on r >= q; every k/1000 on the small grids, every 7th
+        # or 17th on the large ones
+        g = np.linspace(0.0, 1.0, grid)
+        P, Q = np.meshgrid(g, g, indexing="ij", sparse=True)
+        columns = np.arange(grid)
+        for k in range(1, 1000, every):
+            rho = k / 1000
+            first, stop, ub = treeopt._row_bounds(g, rho)
+            V = treeopt.slice_payoff(P, Q, rho)
+            assert (V.max(axis=1) < ub).all(), f"rho={rho}"
+            band = (columns >= first[:, None]) & (columns < stop[:, None])
+            assert (V[~band] == 0.0).all(), f"rho={rho}"
+
+    def test_positive_rho_skips_most_rows(self, monkeypatch):
+        # at rho = 0.25 the r >= q bound leaves about 30 % of the 401^2
+        # mesh to evaluate; the r >= 0 bound left 85 %
+        g = np.linspace(0.0, 1.0, 401)
+        whole = _one_shot_grid_maximum(401, 0.25)
+        real, sizes = treeopt.slice_payoff, []
+        monkeypatch.setattr(treeopt, "slice_payoff", lambda p, q, rho: (
+            sizes.append(p.size * q.size), real(p, q, rho))[1])
+        assert treeopt._grid_maximum(g, 0.25) == whole
+        assert sum(sizes) <= 0.35 * g.size ** 2
 
     def test_ties_keep_the_first_block(self, monkeypatch):
         monkeypatch.setattr(treeopt, "_BLOCK_NODES", 1)
