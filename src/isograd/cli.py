@@ -334,13 +334,13 @@ def _cmd_tree_opt(ns: argparse.Namespace) -> Report:
 def _cmd_surface(ns: argparse.Namespace) -> Report:
     from . import treeopt
     points = treeopt.surface_points(ns.rho, grid=ns.grid)
+    rows = tuple(map(tuple, points.tolist()))
     return Report(
         title=f"constant-correlation surface rho={ns.rho:+g} "
-              f"(grid={ns.grid}, {len(points)} points)",
+              f"(grid={ns.grid}, {len(rows)} points)",
         columns=("p", "q", "r"),
-        rows=tuple(tuple(float(v) for v in row) for row in points),
-        payload={"rho": float(ns.rho), "grid": ns.grid,
-                 "points": [[float(v) for v in row] for row in points]},
+        rows=rows,
+        payload={"rho": float(ns.rho), "grid": ns.grid, "points": rows},
     )
 
 

@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     BadDimension,
+    BadParams,
     DomainError,
     InfeasiblePoint,
     NonFinite,
@@ -84,10 +85,10 @@ class ProbVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        require_finite(self.probs, "probability")
         n = len(self.probs)
         if n < 2:
             raise BadDimension(f"need at least 2 outcomes, got {n}")
-        require_finite(self.probs)
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise OutOfRange(f"probabilities outside [0, 1]: {self.probs}")
         s = math.fsum(self.probs)
@@ -103,18 +104,26 @@ class ProbVector:
         return self.probs[:-1]
 
 
-def require_finite(values: Sequence[float]) -> None:
-    for v in values:
+def require_finite(values: Iterable, name: str = "value") -> list[float]:
+    """``values`` as floats: BadParams unless a sequence of real numbers,
+    NonFinite unless each is finite."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise BadParams(f"expected a sequence of {name} values, "
+                        f"got {values!r}") from None
+    floats = [require_real(name, v) for v in values]
+    for v in floats:
         if not math.isfinite(v):
             raise NonFinite(f"{v!r} is not finite")
+    return floats
 
 
 def resolve(point: Sequence[float]) -> ProbVector:
     """Validate full outcome probabilities and resolve the last coordinate."""
-    vals = [require_real("probability", v) for v in point]
+    vals = require_finite(point, "probability")
     if len(vals) < 2:
         raise BadDimension(f"need at least 2 outcomes, got {len(vals)}")
-    require_finite(vals)
     for v in vals:
         if v < -PROB_SUM_TOL or v > 1.0 + PROB_SUM_TOL:
             raise OutOfRange(f"probability {v!r} outside [0, 1]")
@@ -159,7 +168,7 @@ class ConstraintSet:
                     or i < 0):
                 raise PreconditionError(
                     f"pin index must be a non-negative int, got {i!r}")
-        require_finite(indices_values.values())
+        require_finite(indices_values.values(), "pin target")
         label = label or "pin " + ",".join(
             f"x[{i}]={v:g}" for i, v in indices_values.items())
 
@@ -233,10 +242,9 @@ class Limit:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        direction = tuple(require_real("direction component", v)
-                          for v in self.direction)
+        direction = tuple(require_finite(self.direction,
+                                         "direction component"))
         object.__setattr__(self, "direction", direction)
-        require_finite(direction)
         if len(direction) == 0 or abs(math.hypot(*direction) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
 
@@ -467,8 +475,9 @@ def simplex_volume(n: int) -> float:
 def xlogx(v: float) -> float:
     """v log v with 0 log 0 = 0 and NaN below 0.
 
-    libm's log keeps it bitwise equal to xlogy(v, v), which the dice lattice
-    needs; numpy's vectorized log is not.
+    libm's log keeps it bitwise equal to SciPy's xlogy(v, v), as the xlogy
+    pins in tests/test_core.py and the dice grid's hex pin against its
+    enumerated reference need; numpy's vectorized log is not.
     """
     if v > 0.0:
         return v * math.log(v)

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import (ConstraintSet, ProbVector, entropy, entropy_of_free,
                    minimize, require_finite, resolve, simplex_volume, xlogx)
-from .errors import BadDimension, InfeasiblePoint, require_real
+from .errors import BadDimension, InfeasiblePoint
 from .reports import OptimumReport
 
 #: Grid points per unit of each face coordinate in method 2's search.
@@ -44,12 +42,12 @@ class DieSpace:
 
     def face_point(self, params) -> ProbVector:
         """Embed free face parameters (length sides-1) as a 4-outcome point."""
-        params = [require_real("face parameter", v) for v in params]
+        # finite before fsum, which raises on inf - inf
+        params = require_finite(params, "face parameter")
         if len(params) != self.sides - 1:
             raise BadDimension(
                 f"{self.label} face takes {self.sides - 1} parameters")
-        require_finite(params)   # before fsum, which raises on inf - inf
-        live = params + [1.0 - math.fsum(params)]
+        live = [*params, 1.0 - math.fsum(params)]
         return resolve(live + [0.0] * (4 - self.sides))
 
 
@@ -81,41 +79,23 @@ def objective_F(p: ProbVector, space: DieSpace) -> float:
 
 
 def _entropy_on_grid(sides: int, resolution: int):
-    """Best entropy on the die's face grid, by max-plus dynamic programming.
+    """Best entropy on the die's face grid: the balanced composition.
 
-    The grid points are k / resolution for the compositions k of
-    ``resolution`` into ``sides`` parts, scored with the table
-    T[i] = -(i/n) log(i/n).  Scores are compared on a 2**-40 lattice,
-    S = rint(T * 2**40): integer sums are exact, while float sums depend on
-    the order of their terms, so permutations of one composition would not
-    tie.  B_1 = S and B_s[m] = max_a S[a] + B_(s-1)[m - a] give the top
-    score of s parts summing to m, in O(sides * n^2) steps instead of the
-    O(n^(sides-1)) of enumerating compositions; on integers no rounding
-    enters, so B_sides[n] is exactly the best composition's score.  The
-    optimum is rebuilt part by part, taking the smallest first part a with
-    S[a] + B_(sides-1)[n - a] = B_sides[n] and recursing on the rest, so
-    ties resolve to the lexicographically smallest composition.  Returns
-    (best_params, best_entropy), where best_params are the first sides - 1
-    coordinates.
+    The grid points are k / n for the compositions k of n = ``resolution``
+    into ``sides`` parts.  Their entropy applies one strictly concave
+    function to each part, so it is strictly Schur-concave, and the balanced
+    composition, parts floor(n/sides) and ceil(n/sides), is majorized by
+    every other: it is the maximum, unique up to order (Marshall, Olkin &
+    Arnold, *Inequalities*, 2nd ed. 2011, ch. 3).  Small parts first give
+    the lexicographically smallest order.  Returns (best_params,
+    best_entropy), best_params being the first sides - 1 coordinates.
     """
-    n = resolution
-    table = np.array([-xlogx(k / n) for k in range(n + 1)])
-    score = np.rint(table * 2.0 ** 40).astype(np.int64)
-    parts = np.arange(n + 1)
-    lag = parts[:, None] - parts  # lag[m, a] = m - a
-    # tops[s - 1] is B_s; a part a > m is ruled out by -1, below every score
-    tops = [score]
-    for _ in range(sides - 2):
-        tops.append(np.where(lag >= 0, score + tops[-1][lag], -1).max(axis=1))
-    best, m = [], n
-    for rest in reversed(tops):
-        # np.argmax returns the first maximum: the smallest optimal part
-        part = int(np.argmax(score[:m + 1] + rest[m::-1]))
-        best.append(part)
-        m -= part
-    best.append(m)
-    params = tuple(k / n for k in best[:-1])
-    return params, float(table[best].sum())
+    q, rem = divmod(resolution, sides)
+    parts = [q] * (sides - rem) + [q + 1] * rem
+    value = 0.0
+    for k in parts:
+        value -= xlogx(k / resolution)
+    return tuple(k / resolution for k in parts[:-1]), value
 
 
 def _entropy_of_params(params) -> float:
@@ -150,7 +130,7 @@ def maximize_per_space() -> list[OptimumReport]:
 
 
 def _face_optimum(space: DieSpace) -> OptimumReport:
-    """Grid + refinement on one embedded face of the 4-space."""
+    """The balanced grid point of one embedded face, then Nelder-Mead."""
     params, ent = _entropy_on_grid(space.sides, GRID_RESOLUTION)
     params, ent, iters = _polish(params, ent)
     return OptimumReport(
@@ -164,7 +144,7 @@ def _face_optimum(space: DieSpace) -> OptimumReport:
 
 
 def maximize_constrained_target() -> list[OptimumReport]:
-    """Method 2: grid + refinement on each embedded face of the 4-space."""
+    """Method 2: each embedded face's balanced grid point, refined."""
     return [_face_optimum(space) for space in ALL_SPACES]
 
 

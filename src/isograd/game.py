@@ -136,7 +136,7 @@ def solve_slice(game: GameSpec, rho: float) -> GameOutcome:
     pure solution.  rho=0 makes the stages independent and the players
     optimize expected payoffs in the mixed frequencies (p, q).
     """
-    rho = float(rho)
+    rho = require_real("rho", rho)
     gx = game.x_payoff
     if rho == 1.0:
         x = _action(gx.cx + gx.cy + gx.cxy)

@@ -203,10 +203,9 @@ def discrepancy_payoff(p: float, q: float, r: float,
     (q, r) = (0, 1) so only the p-derivative survives, and that derivative,
     q + r - 1, vanishes identically on the pinned line: the payoff is
     constantly 1 there.  NaN or infinite coordinates raise
-    :class:`NonFinite`.
+    :class:`NonFinite`, and non-real ones :class:`BadParams`.
     """
-    p, q, r = float(p), float(q), float(r)
-    require_finite((p, q, r))
+    p, q, r = require_finite((p, q, r), "coordinate")
     if mode == "unconstrained":
         return _unconstrained_discrepancy(p, q, r)
     if mode == "constrained":

@@ -100,6 +100,13 @@ class TestResolve:
         with pytest.raises(NonFinite, match=repr(bad)):
             ProbVector((0.5, bad))
 
+    @pytest.mark.parametrize("probs", [("0.5", 0.5), (True, 0.0),
+                                       (None, 1.0), 0.5], ids=repr)
+    def test_prob_vector_rejects_non_real(self, probs):
+        # math.isfinite and len raised bare TypeErrors; True passed as 1
+        with pytest.raises(BadParams, match="probability"):
+            ProbVector(probs)
+
 
 class TestSimplexScalars:
     def test_volumes(self):
@@ -357,6 +364,11 @@ class TestNonFinitePoints:
         with pytest.raises(NonFinite):
             ConstraintSet.pin({0: bad})
 
+    @pytest.mark.parametrize("bad", ["a", True, None], ids=repr)
+    def test_pin_rejects_a_non_real_target(self, bad):
+        with pytest.raises(BadParams, match="pin target must be a real"):
+            ConstraintSet.pin({0: bad})
+
 
 class TestPointShape:
     """A point is a 1-D vector: a matrix's rows would share the steps, and
@@ -389,8 +401,8 @@ class TestPointShape:
 class TestLimitGradient:
     DIVE_DIR = (0.0, 1.0 / SQRT2, 1.0 / SQRT2)
 
-    @pytest.mark.parametrize("bad", ["ab", (1.0, "x"), (True,), (None, 1.0)],
-                             ids=repr)
+    @pytest.mark.parametrize("bad", ["ab", (1.0, "x"), (True,), (None, 1.0),
+                                     1.0], ids=repr)
     def test_direction_components_must_be_real(self, bad):
         with pytest.raises(BadParams, match="direction component"):
             Limit(bad)

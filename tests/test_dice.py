@@ -167,8 +167,9 @@ def _brute_force_grid(sides, n):
 
 
 def _enumerated_grid(sides, n):
-    """Reference: the enumeration of compositions that the max-plus search
-    replaced, with the same table, lattice and lexicographic tie rule.
+    """Reference: every composition of n scored on a 2**-40 integer
+    lattice, where sums are exact so that permutations tie, keeping the
+    lexicographically smallest of the best.
 
     The outer parts are looped in ascending order and the last one or two
     free parts are vectorized.

@@ -122,6 +122,12 @@ class TestSolveSlice:
             with pytest.raises(UnsupportedRho):
                 solve_slice(DEFAULT_GAME, rho)
 
+    @pytest.mark.parametrize("rho", ["1", "a", True, None], ids=repr)
+    def test_rho_must_be_a_real_number(self, rho):
+        # float() read "1" and True as the rho = +1 slice
+        with pytest.raises(BadParams, match="rho must be a real number"):
+            solve_slice(DEFAULT_GAME, rho)
+
     def test_payoffs_match_forms_on_all_slices(self):
         for rho in (-1.0, 0.0, 1.0):
             outcome = solve_slice(DEFAULT_GAME, rho)

@@ -141,9 +141,9 @@ class TestLazyScipy:
 
 
 #: the only modules that import numpy: the finite-difference probes
-#: (``core``), grids and meshes (``dice``, ``treeopt``) and the seeded
-#: sampler (``strategy``)
-NUMPY_MODULES = {"core", "dice", "strategy", "treeopt"}
+#: (``core``), the slice meshes (``treeopt``) and the seeded sampler
+#: (``strategy``)
+NUMPY_MODULES = {"core", "strategy", "treeopt"}
 
 #: command -> the isograd modules a fresh call loads besides ``cli``: its
 #: handler's modules and what they import

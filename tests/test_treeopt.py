@@ -302,6 +302,15 @@ class TestDiscrepancyPayoff:
             with pytest.raises(NonFinite):
                 treeopt.discrepancy_payoff(*point, mode)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None], ids=repr)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_real_input_is_rejected(self, bad, slot):
+        # float() read "0.5" and True as coordinates
+        point = [0.5, 0.0, 1.0]
+        point[slot] = bad
+        with pytest.raises(BadParams, match="coordinate must be a real"):
+            treeopt.discrepancy_payoff(*point)
+
     def test_unknown_mode(self):
         with pytest.raises(BadParams):
             treeopt.discrepancy_payoff(0.5, 0.5, 0.5, mode="subgradient")
