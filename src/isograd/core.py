@@ -104,7 +104,7 @@ class ProbVector:
         return self.probs[:-1]
 
 
-def require_finite(values: Iterable, name: str = "value") -> list[float]:
+def require_finite(values: Iterable, name: str) -> list[float]:
     """``values`` as floats: BadParams unless a sequence of real numbers,
     NonFinite unless each is finite."""
     try:
@@ -346,7 +346,9 @@ def _free_coords(at) -> np.ndarray:
     if x.ndim != 1:
         raise BadDimension(f"a point is a 1-D vector of coordinates, "
                            f"got shape {x.shape}")
-    require_finite(x.tolist())
+    for v in x.tolist():   # floats already: only finiteness is left
+        if not math.isfinite(v):
+            raise NonFinite(f"{v!r} is not finite")
     return x
 
 
@@ -475,9 +477,8 @@ def simplex_volume(n: int) -> float:
 def xlogx(v: float) -> float:
     """v log v with 0 log 0 = 0 and NaN below 0.
 
-    libm's log keeps it bitwise equal to SciPy's xlogy(v, v), as the xlogy
-    pins in tests/test_core.py and the dice grid's hex pin against its
-    enumerated reference need; numpy's vectorized log is not.
+    libm's log keeps it bitwise equal to SciPy's xlogy(v, v), as the two
+    xlogy pins in tests/test_core.py need; numpy's vectorized log is not.
     """
     if v > 0.0:
         return v * math.log(v)

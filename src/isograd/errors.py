@@ -64,8 +64,6 @@ class ConvergenceFailure(IsogradError):
 
 def require_real(name: str, value) -> float:
     """``value`` as a float; BadParams unless a real number (not a bool)."""
-    if type(value) is float:   # no ABC check, the slow part of this call
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise BadParams(f"{name} must be a real number, got {value!r}")
     return float(value)

@@ -46,7 +46,7 @@ class NormalParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             object.__setattr__(self, name, require_real(name, value))
-        require_finite(vars(self).values())
+        require_finite(vars(self).values(), "parameter")
         if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
             raise BadParams(
                 f"standard deviations must be positive: "
@@ -138,7 +138,7 @@ def analytic_rho_derivative(params: NormalParams, relation: str,
         return params.sigma_x * params.sigma_y
     if probe is None or len(probe) != 2:
         raise PreconditionError(f"{relation} needs a probe (x, y)")
-    require_finite(probe)
+    require_finite(probe, "probe coordinate")
     x, y = probe
     u = (x - params.mu_x) / params.sigma_x
     v = (y - params.mu_y) / params.sigma_y

@@ -228,6 +228,8 @@ class TestRelationGradients:
         for probe in ((math.nan, 0.0), (0.0, math.inf)):
             with pytest.raises(NonFinite):
                 analytic_rho_derivative(DEFAULT_PARAMS, relation, probe)
+        with pytest.raises(BadParams, match="probe coordinate"):
+            analytic_rho_derivative(DEFAULT_PARAMS, relation, ("0.1", 0.2))
 
 
 class TestCheckSuite:
