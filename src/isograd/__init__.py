@@ -35,8 +35,10 @@ treeopt
     maxima.
 game
     A two-stage game solved by backward induction vs coupling selection.
-errors, reports
-    The exception hierarchy and the optimum report the optimizers return.
+errors
+    The exception hierarchy and input checks.
+reports
+    The optimum report the optimizers return.
 cli
     Command-line interface over all of the above.
 """

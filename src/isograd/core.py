@@ -39,20 +39,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     BadDimension,
-    BadParams,
     DomainError,
     InfeasiblePoint,
     NonFinite,
     NotNormalized,
     OutOfRange,
     PreconditionError,
-    require_real,
+    require_count,
+    require_finite,
 )
 
 # normalization is checked an order looser than feasibility on purpose:
@@ -85,8 +85,9 @@ class ProbVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        require_finite(self.probs, "probability")
-        n = len(self.probs)
+        probs = tuple(require_finite("probability", self.probs))
+        object.__setattr__(self, "probs", probs)
+        n = len(probs)
         if n < 2:
             raise BadDimension(f"need at least 2 outcomes, got {n}")
         if any(p < 0.0 or p > 1.0 for p in self.probs):
@@ -104,24 +105,9 @@ class ProbVector:
         return self.probs[:-1]
 
 
-def require_finite(values: Iterable, name: str) -> list[float]:
-    """``values`` as floats: BadParams unless a sequence of real numbers,
-    NonFinite unless each is finite."""
-    try:
-        values = iter(values)
-    except TypeError:
-        raise BadParams(f"expected a sequence of {name} values, "
-                        f"got {values!r}") from None
-    floats = [require_real(name, v) for v in values]
-    for v in floats:
-        if not math.isfinite(v):
-            raise NonFinite(f"{v!r} is not finite")
-    return floats
-
-
 def resolve(point: Sequence[float]) -> ProbVector:
     """Validate full outcome probabilities and resolve the last coordinate."""
-    vals = require_finite(point, "probability")
+    vals = require_finite("probability", point)
     if len(vals) < 2:
         raise BadDimension(f"need at least 2 outcomes, got {len(vals)}")
     for v in vals:
@@ -164,11 +150,8 @@ class ConstraintSet:
         must have a free coordinate there (else :class:`BadDimension`).
         """
         for i in indices_values:
-            if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                    or i < 0):
-                raise PreconditionError(
-                    f"pin index must be a non-negative int, got {i!r}")
-        require_finite(indices_values.values(), "pin target")
+            require_count("pin index", i, 0)
+        require_finite("pin target", indices_values.values())
         label = label or "pin " + ",".join(
             f"x[{i}]={v:g}" for i, v in indices_values.items())
 
@@ -242,8 +225,8 @@ class Limit:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        direction = tuple(require_finite(self.direction,
-                                         "direction component"))
+        direction = tuple(require_finite("direction component",
+                                         self.direction))
         object.__setattr__(self, "direction", direction)
         if len(direction) == 0 or abs(math.hypot(*direction) - 1.0) > 1e-9:
             raise PreconditionError("approach direction must be a unit vector")
@@ -341,15 +324,21 @@ def _eval(f: Callable[[np.ndarray], Sequence[float]],
 
 
 def _free_coords(at) -> np.ndarray:
-    """The free coordinates of a point: a finite 1-D vector."""
-    x = np.asarray(at.free if isinstance(at, ProbVector) else at, dtype=float)
+    """The free coordinates of a point: a finite 1-D vector of reals."""
+    try:
+        x = np.asarray(at.free if isinstance(at, ProbVector) else at)
+    except ValueError:   # ragged nesting: numpy finds no shape
+        raise BadDimension(f"a point is a 1-D vector of coordinates, "
+                           f"got {at!r}") from None
     if x.ndim != 1:
         raise BadDimension(f"a point is a 1-D vector of coordinates, "
                            f"got shape {x.shape}")
-    for v in x.tolist():   # floats already: only finiteness is left
+    if x.dtype.kind not in "fiu":   # bools, strings, objects: one by one
+        return np.array(require_finite("coordinate", x.tolist()))
+    for v in x.tolist():   # numbers already: only finiteness is left
         if not math.isfinite(v):
-            raise NonFinite(f"{v!r} is not finite")
-    return x
+            raise NonFinite(f"coordinate must be finite, got {v!r}")
+    return x.astype(float, copy=False)
 
 
 def _central(f: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
@@ -469,8 +458,8 @@ def gradient(f: Callable[[np.ndarray], float], at,
 
 def simplex_volume(n: int) -> float:
     """Volume 1/(n-1)! of the standard n-outcome probability simplex."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise BadDimension(f"simplex needs an integer n >= 2 outcomes, got {n!r}")
+    if require_count("n", n, 0) < 2:
+        raise BadDimension(f"simplex needs n >= 2 outcomes, got {n}")
     return 1.0 / math.factorial(n - 1)
 
 

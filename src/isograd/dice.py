@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .core import (ConstraintSet, ProbVector, entropy, entropy_of_free,
-                   minimize, require_finite, resolve, simplex_volume, xlogx)
-from .errors import BadDimension, InfeasiblePoint
+                   minimize, resolve, simplex_volume, xlogx)
+from .errors import BadDimension, InfeasiblePoint, require_finite
 from .reports import OptimumReport
 
 #: Grid points per unit of each face coordinate in method 2's search.
@@ -43,7 +43,7 @@ class DieSpace:
     def face_point(self, params) -> ProbVector:
         """Embed free face parameters (length sides-1) as a 4-outcome point."""
         # finite before fsum, which raises on inf - inf
-        params = require_finite(params, "face parameter")
+        params = require_finite("face parameter", params)
         if len(params) != self.sides - 1:
             raise BadDimension(
                 f"{self.label} face takes {self.sides - 1} parameters")

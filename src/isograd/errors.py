@@ -1,13 +1,17 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and the input checks shared by every module.
 
 All errors derive from :class:`IsogradError` so callers can catch the library
 as a whole; most also derive from ``ValueError`` because they signal bad
-arguments rather than internal failures.
+arguments rather than internal failures.  What counts as a real number, a
+finite sequence or a count is decided here once: :func:`require_real`,
+:func:`require_finite` and :func:`require_count`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from typing import Iterable
 
 
 class IsogradError(Exception):
@@ -67,3 +71,28 @@ def require_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise BadParams(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_finite(name: str, values: Iterable) -> list[float]:
+    """``values`` as floats: BadParams unless a sequence of real numbers,
+    NonFinite unless each is finite."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise BadParams(f"expected a sequence of {name} values, "
+                        f"got {values!r}") from None
+    floats = [require_real(name, v) for v in values]
+    for v in floats:
+        if not math.isfinite(v):
+            raise NonFinite(f"{name} must be finite, got {v!r}")
+    return floats
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; BadParams unless an integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise BadParams(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParams, UnsupportedRho, require_real
+from .errors import BadParams, UnsupportedRho, require_finite, require_real
 
 _TIE_TOL = 0.0  # ties break toward action 0 on exactly zero advantage
 
@@ -41,10 +41,7 @@ class PayoffForm:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            value = require_real(f"payoff coefficient {name}", value)
-            if not math.isfinite(value):
-                raise BadParams(f"payoff coefficient {name} must be finite, "
-                                f"got {value!r}")
+            [value] = require_finite(f"payoff coefficient {name}", (value,))
             object.__setattr__(self, name, value)
         for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
             if not math.isfinite(self(x, y)):

@@ -27,8 +27,9 @@ import math
 from dataclasses import astuple, dataclass
 
 from .core import (Constrained, ConstraintSet, GradientMode, GradientResult,
-                   Limit, gradients, require_finite)
-from .errors import BadParams, InfeasiblePoint, PreconditionError, require_real
+                   Limit, gradients)
+from .errors import (BadParams, InfeasiblePoint, PreconditionError,
+                     require_finite, require_real)
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,8 +46,8 @@ class NormalParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            object.__setattr__(self, name, require_real(name, value))
-        require_finite(vars(self).values(), "parameter")
+            [value] = require_finite(name, (value,))
+            object.__setattr__(self, name, value)
         if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
             raise BadParams(
                 f"standard deviations must be positive: "
@@ -138,7 +139,7 @@ def analytic_rho_derivative(params: NormalParams, relation: str,
         return params.sigma_x * params.sigma_y
     if probe is None or len(probe) != 2:
         raise PreconditionError(f"{relation} needs a probe (x, y)")
-    require_finite(probe, "probe coordinate")
+    require_finite("probe coordinate", probe)
     x, y = probe
     u = (x - params.mu_x) / params.sigma_x
     v = (y - params.mu_y) / params.sigma_y

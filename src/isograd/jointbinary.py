@@ -21,7 +21,6 @@ readings disagree.  Entropies are core's cell entropy of joint or marginal.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .core import (
@@ -41,6 +40,7 @@ from .errors import (
     EmptyData,
     InfeasiblePoint,
     PreconditionError,
+    require_count,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -81,10 +81,8 @@ class CountData:
     n_d: int
 
     def __post_init__(self):
-        for v in self.counts:
-            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                    or v < 0):
-                raise PreconditionError(f"counts must be nonnegative ints: {v!r}")
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, require_count(name, value, 0))
 
     @property
     def counts(self) -> tuple[int, int, int, int]:

@@ -31,13 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import minimize, minimize_scalar, require_finite
+from .core import minimize, minimize_scalar
 from .errors import (
     BadParams,
     ConvergenceFailure,
     InfeasiblePoint,
     NonFinite,
     OutOfRange,
+    require_count,
+    require_finite,
     require_real,
 )
 from .reports import OptimumReport
@@ -48,8 +50,7 @@ RANGE_TOL = 1e-9
 _P_EDGE = 1e-9
 #: Default per-axis resolution of the slice-optimizer grid.
 DEFAULT_GRID = 401
-#: Per-axis resolution of the discrepancy grid (3-D cube) and default
-#: per-axis resolution of :func:`surface_points`.
+#: Default per-axis resolution of :func:`surface_points`.
 DISCREPANCY_GRID = 41
 #: Largest per-axis resolution :func:`surface_points` and the slice
 #: optimizer accept: a 4001 x 4001 mesh has 16 M nodes, 128 MB per float64
@@ -187,7 +188,7 @@ def surface_points(rho: float, grid: int = DISCREPANCY_GRID) -> np.ndarray:
 
 
 def _unconstrained_discrepancy(p, q, r):
-    """1 - (q + r - 1)^2 - (1 - p)^2 - p^2, for floats or arrays alike."""
+    """1 - (q + r - 1)^2 - (1 - p)^2 - p^2."""
     return 1.0 - (q + r - 1.0) ** 2 - (1.0 - p) ** 2 - p ** 2
 
 
@@ -205,7 +206,7 @@ def discrepancy_payoff(p: float, q: float, r: float,
     constantly 1 there.  NaN or infinite coordinates raise
     :class:`NonFinite`, and non-real ones :class:`BadParams`.
     """
-    p, q, r = require_finite((p, q, r), "coordinate")
+    p, q, r = require_finite("coordinate", (p, q, r))
     if mode == "unconstrained":
         return _unconstrained_discrepancy(p, q, r)
     if mode == "constrained":
@@ -221,7 +222,9 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
     """Maximize the discrepancy payoff under the given gradient semantics.
 
     Unconstrained: value 1/2, attained on the ridge p = 1/2, q + r = 1; the
-    lexicographically smallest maximizer (1/2, 0, 1) is reported.
+    lexicographically smallest maximizer (1/2, 0, 1) is reported.  No grid
+    is searched (``grid`` is 0): a Nelder-Mead polish starts at that point
+    and cannot improve on it.
     Constrained to (q, r) = (0, 1): the payoff is constantly 1 in p, and the
     representative p = 0 is reported.
     """
@@ -238,13 +241,8 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
     if mode != "unconstrained":
         raise BadParams(
             f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
-    g = np.linspace(0.0, 1.0, DISCREPANCY_GRID)
-    P, Q, R = np.meshgrid(g, g, g, indexing="ij", sparse=True)
-    F = _unconstrained_discrepancy(P, Q, R)
-    flat = int(np.argmax(F))  # first maximum in C order: lexicographic point
-    pi, qi, ri = np.unravel_index(flat, F.shape)
-    point = (float(g[pi]), float(g[qi]), float(g[ri]))
-    value = float(F[pi, qi, ri])
+    point = (0.5, 0.0, 1.0)
+    value = _unconstrained_discrepancy(*point)
 
     def clipped(z: tuple) -> tuple:
         return tuple(_Floats.clip(c, 0.0, 1.0) for c in z)
@@ -259,7 +257,7 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
         point=point,
         value=value,
         mode="discrepancy",
-        diagnostics={"grid": DISCREPANCY_GRID, "iterations": res.nit,
+        diagnostics={"grid": 0, "iterations": res.nit,
                      "boundary": boundary},
     )
 
@@ -269,13 +267,10 @@ def maximize_discrepancy(mode: str = "unconstrained") -> OptimumReport:
 
 
 def _validate_grid(grid: int, minimum: int) -> int:
-    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool):
-        raise BadParams(f"grid must be an integer, got {grid!r}")
-    if grid < minimum:
-        raise BadParams(f"grid must be at least {minimum}, got {grid}")
+    grid = require_count("grid", grid, minimum)
     if grid > MAX_GRID:
         raise BadParams(f"grid must be at most {MAX_GRID}, got {grid}")
-    return int(grid)
+    return grid
 
 
 def slice_payoff(p, q, rho: float):

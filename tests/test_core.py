@@ -100,6 +100,11 @@ class TestResolve:
         with pytest.raises(NonFinite, match=repr(bad)):
             ProbVector((0.5, bad))
 
+    def test_prob_vector_stores_floats(self):
+        assert ProbVector((1, 0)).probs == (1.0, 0.0)
+        for probs in ((1, 0), (np.float64(0.5), 0.5), (np.int64(0), 1)):
+            assert all(type(p) is float for p in ProbVector(probs).probs)
+
     @pytest.mark.parametrize("probs", [("0.5", 0.5), (True, 0.0),
                                        (None, 1.0), 0.5], ids=repr)
     def test_prob_vector_rejects_non_real(self, probs):
@@ -119,8 +124,12 @@ class TestSimplexScalars:
             assert simplex_volume(n) * math.factorial(n - 1) == 1.0
 
     def test_bad_dimension(self):
-        for bad in (1, 0, -3):
+        for bad in (1, 0):
             with pytest.raises(BadDimension):
+                simplex_volume(bad)
+        # not a count at all: the shared count check refuses it
+        for bad in (-3, 2.0, True, "3"):
+            with pytest.raises(BadParams, match="n must be"):
                 simplex_volume(bad)
 
     def test_entropy_values(self):
@@ -216,7 +225,7 @@ class TestConstrainedGradient:
     @pytest.mark.parametrize("index", [-1, 1.5, True, np.float64(0.0), "0"])
     def test_pin_rejects_a_bad_index(self, index):
         # -1 would pin the last free coordinate through negative indexing
-        with pytest.raises(PreconditionError, match="non-negative int"):
+        with pytest.raises(BadParams, match="pin index must be"):
             ConstraintSet.pin({index: 0.3})
 
     def test_pin_past_the_free_coordinates(self):
@@ -359,6 +368,16 @@ class TestNonFinitePoints:
         with pytest.raises(NonFinite):
             finite_difference(lambda x: 1.0, [0.5, bad])
 
+    @pytest.mark.parametrize("at", [("0.5", True), (b"1", 0.5), (None, 0.5),
+                                    (True, False), ("a", 0.5)], ids=repr)
+    @pytest.mark.parametrize("mode", [Constrained(), Limit((1.0, 0.0))])
+    def test_gradient_rejects_a_non_real_point(self, at, mode, eval_calls):
+        # np.asarray(at, dtype=float) would read "0.5" and True as
+        # (0.5, 1.0), and None as NaN
+        with pytest.raises(BadParams, match="coordinate must be a real"):
+            gradient(lambda x: float(x[0] ** 2 + x[1]), at, mode)
+        assert eval_calls == [0]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_pin_rejects_a_non_finite_target(self, bad):
         with pytest.raises(NonFinite):
@@ -390,6 +409,14 @@ class TestPointShape:
     def test_finite_difference_rejects(self, at, eval_calls):
         with pytest.raises(BadDimension, match=r"got shape \("):
             finite_difference(lambda x: float(x.sum()), at)
+        assert eval_calls == [0]
+
+    @pytest.mark.parametrize("at", [[[0.1, 0.2], [0.3]], [0.1, [0.2, 0.3]]],
+                             ids=repr)
+    def test_ragged_point_rejected(self, at, eval_calls):
+        # numpy finds no shape for an inhomogeneous nesting
+        with pytest.raises(BadDimension, match="1-D vector of coordinates"):
+            gradient(lambda x: float(x.sum()), at, Constrained())
         assert eval_calls == [0]
 
     def test_names_the_shape(self):

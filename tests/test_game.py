@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from isograd.errors import BadParams, UnsupportedRho
+from isograd.errors import BadParams, NonFinite, UnsupportedRho
 from isograd.game import (
     DEFAULT_GAME,
     GameSpec,
@@ -39,9 +39,9 @@ class TestPayoffForm:
                                                                4.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(NonFinite, match="c0 must be finite, got inf"):
             PayoffForm(math.inf, 0, 0, 0)
-        with pytest.raises(BadParams):
+        with pytest.raises(NonFinite, match="cx must be finite, got nan"):
             PayoffForm(0, math.nan, 0, 0)
 
     @pytest.mark.parametrize("bad", ["x", "3", None, True, 1j])

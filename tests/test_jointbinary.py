@@ -85,6 +85,8 @@ class TestCountData:
         c = CountData(7, 0, 0, 3)
         assert c.n == 10
         assert c.counts == (7, 0, 0, 3)
+        assert [type(n) for n in CountData(np.int64(7), 0, 0, 3).counts] == \
+            [int] * 4
 
     def test_rejects_bad_counts(self):
         with pytest.raises(PreconditionError):

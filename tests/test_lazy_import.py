@@ -265,6 +265,22 @@ class TestSourceRules:
                    if _references(tree, "mode_named")}
         assert readers == {"core", "jointbinary"}
 
+    def test_input_checks_live_in_errors(self):
+        # what counts as a count, a real number or a finite sequence is
+        # decided once: numbers.Integral also covers numpy's integers
+        trees = _source_trees()
+        assert _importers("numbers") == {"errors"}
+        assert {name for name, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "integer"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")} == set()
+        for check in ("require_real", "require_finite", "require_count"):
+            assert {name for name, tree in trees.items()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == check} == {"errors"}
+
 
 class TestTracedNames:
     """The polishes call the two searches through these module globals."""

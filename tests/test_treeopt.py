@@ -324,6 +324,16 @@ class TestMaximizeDiscrepancy:
         assert rep.label == "unconstrained"
         assert rep.diagnostics["boundary"] is True
 
+    def test_unconstrained_report_is_the_closed_form(self):
+        # (1/2, 0, 1) is also the first argmax in C order of a 41^3 mesh
+        # over the cube, so the report is bitwise what that search gave
+        rep = treeopt.maximize_discrepancy()
+        assert [c.hex() for c in rep.point] == [
+            (0.5).hex(), (0.0).hex(), (1.0).hex()]
+        assert rep.value.hex() == "0x1.0000000000000p-1"
+        assert rep.diagnostics == {"grid": 0, "iterations": 64,
+                                   "boundary": True}
+
     def test_constrained_is_constant_one(self):
         rep = treeopt.maximize_discrepancy("constrained")
         assert rep.value == 1.0
